@@ -8,7 +8,7 @@
 //
 // Regenerate by printing cfg.fingerprint() and the fnv1a64 of the
 // precision-17 "key,value\n" serialization of RunResult::metrics for each
-// case (scale=0.25, defaults otherwise, cache disabled).
+// case (golden_config below, defaults otherwise, cache disabled).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -37,6 +37,10 @@ struct GoldenCase {
   system::PolicyKind policy;
   std::uint64_t fingerprint;
   std::uint64_t metrics;
+  /// params.scale, or serve.request_scale for a serving row.
+  double scale = 0.25;
+  const char* arrival = "";  ///< non-empty: an open-arrival serving run
+  bool adaptive = false;
 };
 
 // Schema v8 goldens (v8 added the tdn::vm options segment — disabled runs
@@ -51,13 +55,29 @@ const GoldenCase kGoldens[] = {
      0xa32be5730695fe6full},
     {"jacobi", system::PolicyKind::TdNuca, 0x511cb6ff7d847ddeull,
      0xf2def87b56b8b1b1ull},
+    // The configs MultiProgram.FingerprintGoldenV8 and
+    // ServeHarness.FingerprintGoldenV8 pin, scaled down to keep each run
+    // under a second: the colocated and serving front-ends get the same
+    // metrics oracle as the tiled one.
+    {"gauss+histo", system::PolicyKind::TdNuca, 0x28405c3a02472d68ull,
+     0xc63ddd629146780aull, 0.125},
+    {"gauss+histo", system::PolicyKind::TdNuca, 0x9c738193740e53a2ull,
+     0xae1e0c5794264718ull, 0.02, "poisson:gap=40k"},
+    {"gauss+histo", system::PolicyKind::TdNuca, 0xe52cdb61959e984bull,
+     0x5bc672a6b2662334ull, 0.02, "poisson:gap=40k", /*adaptive=*/true},
 };
 
 harness::RunConfig golden_config(const GoldenCase& c) {
   harness::RunConfig cfg;
   cfg.workload = c.workload;
   cfg.policy = c.policy;
-  cfg.params.scale = 0.25;
+  cfg.serve.arrival = c.arrival;
+  cfg.serve.adaptive = c.adaptive;
+  // A serving run sizes each request by request_scale, never params.scale.
+  if (cfg.serve.enabled())
+    cfg.serve.request_scale = c.scale;
+  else
+    cfg.params.scale = c.scale;
   return cfg;
 }
 
@@ -65,8 +85,8 @@ TEST(Determinism, FingerprintGoldensV8) {
   for (const GoldenCase& c : kGoldens) {
     const harness::RunConfig cfg = golden_config(c);
     EXPECT_EQ(cfg.fingerprint(), c.fingerprint)
-        << c.workload << "/" << system::to_string(c.policy) << " fingerprint 0x"
-        << std::hex << cfg.fingerprint();
+        << cfg.describe() << " fingerprint 0x" << std::hex
+        << cfg.fingerprint();
   }
 }
 
@@ -76,8 +96,8 @@ TEST(Determinism, MetricsGoldensV8) {
     const harness::RunResult r =
         harness::run_experiment(cfg, /*use_cache=*/false);
     EXPECT_EQ(metrics_hash(r.metrics), c.metrics)
-        << c.workload << "/" << system::to_string(c.policy)
-        << " metrics hash 0x" << std::hex << metrics_hash(r.metrics)
+        << cfg.describe() << " metrics hash 0x" << std::hex
+        << metrics_hash(r.metrics)
         << " over " << std::dec << r.metrics.size() << " keys";
   }
 }
