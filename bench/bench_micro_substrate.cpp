@@ -41,7 +41,6 @@
 #include "noc/mesh.hpp"
 #include "runtime/region_map.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/mesh_traffic.hpp"
 #include "tdnuca/rrt.hpp"
 
 using namespace tdn;
@@ -197,21 +196,6 @@ double region_map_ns(std::uint64_t iters) {
   return ns / static_cast<double>(iters * 256);
 }
 
-/// One MeshTraffic run (threads == 0 selects the serial reference queue);
-/// returns modeled events/sec and reports the result for identity checks.
-double mesh_traffic_events_per_sec(const sim::MeshTrafficParams& p,
-                                   unsigned threads,
-                                   sim::MeshTrafficResult* out) {
-  const auto t0 = Clock::now();
-  sim::MeshTrafficResult r = threads == 0
-                                 ? sim::run_mesh_traffic_serial(p)
-                                 : sim::run_mesh_traffic_sharded(p, threads);
-  const double wall = ms_since(t0);
-  const double eps = static_cast<double>(r.events) / (wall / 1e3);
-  if (out != nullptr) *out = std::move(r);
-  return eps;
-}
-
 double peak_rss_kb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
@@ -224,9 +208,8 @@ void write_json(const std::map<std::string, double>& metrics, bool smoke,
                 const std::string& out_path) {
   std::string json = "{\n  \"schema\": \"tdn-bench-substrate-v1\",\n";
   json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  // Host parallelism when the report was produced: the sharded_traffic.*
-  // scaling metrics are only comparable between equal-width hosts, so the
-  // perf checker warns (not fails) on a mismatch, like the smoke flag.
+  // Host parallelism when the report was produced: a record of the host
+  // for whoever compares two reports. No metric here depends on it.
   json += "  \"threads\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"metrics\": {\n";
@@ -279,38 +262,6 @@ int main(int argc, char** argv) {
   m["event_dispatch.stdfunction_ref_ns_per_event"] = legacy;
   m["event_dispatch.speedup_vs_stdfunction"] = legacy / pooled;
 
-  // Sharded-engine scaling: a ~1M-event shared-nothing MeshTraffic mesh
-  // (16x16 tiles, one engine domain per tile), serial EventQueue reference
-  // vs ShardedEventQueue at 1/2/4 threads. The run aborts if any thread
-  // count's result fingerprint drifts from the serial reference — the
-  // scaling numbers are only meaningful for bit-identical runs.
-  {
-    sim::MeshTrafficParams p;
-    p.width = 16;
-    p.height = 16;
-    p.packets_per_tile = smoke ? 4 : 16;
-    p.ttl = smoke ? 63 : 255;
-    p.work = 32;
-    p.seed = 9;
-    sim::MeshTrafficResult ref;
-    const double serial_eps = mesh_traffic_events_per_sec(p, 0, &ref);
-    m["sharded_traffic.serial.events_per_sec"] = serial_eps;
-    m["sharded_traffic.events"] = static_cast<double>(ref.events);
-    for (const unsigned t : {1u, 2u, 4u}) {
-      sim::MeshTrafficResult r;
-      const double eps = mesh_traffic_events_per_sec(p, t, &r);
-      if (r.fingerprint() != ref.fingerprint()) {
-        std::fprintf(stderr,
-                     "FATAL: sharded MeshTraffic (threads=%u) diverged from "
-                     "the serial reference fingerprint\n", t);
-        return 1;
-      }
-      const std::string key = "sharded_traffic.t" + std::to_string(t);
-      m[key + ".events_per_sec"] = eps;
-      m[key + ".speedup_vs_serial"] = eps / serial_eps;
-    }
-  }
-
   m["cache_probe.ns_per_op"] = best_of_3([&] { return cache_probe_ns(kernel_iters); });
   m["rrt_lookup.ns_per_op"] = best_of_3([&] { return rrt_lookup_ns(kernel_iters); });
   m["xy_route.ns_per_op"] = best_of_3([&] { return xy_route_ns(kernel_iters); });
@@ -349,14 +300,6 @@ int main(int argc, char** argv) {
                m["event_dispatch.speedup_vs_stdfunction"],
                m["cache_probe.ns_per_op"], m["rrt_lookup.ns_per_op"],
                m["xy_route.ns_per_op"], m["region_map.ns_per_op"]);
-  std::fprintf(stderr,
-               "[bench] sharded traffic %.2fM ev/s serial; speedup t1 %.2fx, "
-               "t2 %.2fx, t4 %.2fx (host threads: %u)\n",
-               m["sharded_traffic.serial.events_per_sec"] / 1e6,
-               m["sharded_traffic.t1.speedup_vs_serial"],
-               m["sharded_traffic.t2.speedup_vs_serial"],
-               m["sharded_traffic.t4.speedup_vs_serial"],
-               std::thread::hardware_concurrency());
   write_json(m, smoke, out_path);
   return 0;
 }

@@ -25,6 +25,7 @@ re-baselining workflow.
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -72,14 +73,6 @@ def main() -> int:
         warnings.append(
             f"smoke flag mismatch: baseline={base_doc.get('smoke')} "
             f"current={cur_doc.get('smoke')} — compare like against like")
-    if base_doc.get("threads") != cur_doc.get("threads"):
-        # Thread-scaling metrics (sharded_traffic.*) depend on how many
-        # cores the producing host had; a 1-core CI runner cannot be held to
-        # a 16-core baseline's speedups.
-        warnings.append(
-            f"host threads mismatch: baseline={base_doc.get('threads')} "
-            f"current={cur_doc.get('threads')} — scaling metrics are only "
-            "comparable between equal-width hosts")
     for name, b in sorted(base.items()):
         if name not in cur:
             warnings.append(f"metric missing from current run: {name}")
@@ -89,8 +82,12 @@ def main() -> int:
         if d == "info" or b == 0:
             print(f"  info  {name}: {b:g} -> {c:g}")
             continue
-        # Normalize to "ratio > 1 means worse".
-        ratio = (c / b) if d == "lower" else (b / c)
+        # Normalize to "ratio > 1 means worse"; a higher-is-better metric
+        # that fell to zero is infinitely worse.
+        if d == "lower":
+            ratio = c / b
+        else:
+            ratio = b / c if c != 0 else math.inf
         verdict = "ok"
         if ratio > 1.0 + args.tolerance:
             verdict = "REGRESSION"

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "noc/domain_map.hpp"
 #include "obs/recorder.hpp"
 #include "sim/joiner.hpp"
 
@@ -190,17 +189,6 @@ void CoherentSystem::register_miss_or_retry(CoreId core, Addr vaddr, Addr line,
   }
 }
 
-void CoherentSystem::schedule_tile(CoreId tile, Cycle when, sim::Action fn) {
-  if (shard_ != nullptr) {
-    const sim::DomainId dd = dmap_->domain_of(tile);
-    if (dd != home_domain_) {
-      shard_->schedule_cross(home_domain_, dd, when, std::move(fn));
-      return;
-    }
-  }
-  eq_.schedule_at(when, std::move(fn));
-}
-
 void CoherentSystem::launch_transaction(CoreId core, Addr vaddr, Addr line,
                                         AccessKind kind, Cycle issued_at) {
   const nuca::MapDecision d = vaddr >= kKernelBase
@@ -211,14 +199,14 @@ void CoherentSystem::launch_transaction(CoreId core, Addr vaddr, Addr line,
     if (attr_ != nullptr)
       attr_->on_launch(core, line, issued_at, send_at,
                        mesh_.hops(core, mcs_.tile_of(mcs_.index_for(line))));
-    schedule_tile(core, send_at,
-                  [this, core, line, kind] { bypass_fetch(core, line, kind, eq_.now()); });
+    eq_.schedule_at(send_at,
+                    [this, core, line, kind] { bypass_fetch(core, line, kind, eq_.now()); });
     return;
   }
   stats_.nuca_distance.add(static_cast<double>(mesh_.hops(core, d.bank)));
   if (attr_ != nullptr)
     attr_->on_launch(core, line, issued_at, send_at, mesh_.hops(core, d.bank));
-  schedule_tile(core, send_at, [this, core, line, kind, bank = d.bank] {
+  eq_.schedule_at(send_at, [this, core, line, kind, bank = d.bank] {
     net_.send(core, bank, MsgClass::Control,
               [this, bank, core, line, kind] { bank_request(bank, core, line, kind); });
   });
@@ -263,7 +251,7 @@ void CoherentSystem::bank_request(BankId bank, CoreId requester, Addr line,
     bb.next_free = start + interval;
     if (attr_ != nullptr)
       attr_->on_service_start(requester, line, start, start + cfg_.llc_latency);
-    schedule_tile(bank, start + cfg_.llc_latency, [this, bank, requester, line, kind] {
+    eq_.schedule_at(start + cfg_.llc_latency, [this, bank, requester, line, kind] {
       stats_.llc_requests.inc();
       ++banks_[bank].counters.requests;
       AppCounters* ac =
@@ -419,7 +407,7 @@ void CoherentSystem::bank_fetch_from_memory(BankId bank, CoreId requester,
   net_.send(bank, mc_tile, MsgClass::Control, [this, bank, requester, line, kind,
                                                mc, mc_tile] {
     const Cycle ready = mcs_.mc(mc).request(eq_.now(), AccessKind::Read);
-    schedule_tile(mc_tile, ready, [this, bank, requester, line, kind, mc_tile] {
+    eq_.schedule_at(ready, [this, bank, requester, line, kind, mc_tile] {
       net_.send(mc_tile, bank, MsgClass::Data, [this, bank, requester, line, kind] {
         if (attr_ != nullptr) attr_->on_memory_data(requester, line, eq_.now());
         if (health_ != nullptr && !health_->bank_ok(bank)) {
@@ -612,7 +600,7 @@ void CoherentSystem::bypass_fetch(CoreId core, Addr line, AccessKind kind,
     // round trip lands in the dram component.
     if (attr_ != nullptr) attr_->on_bank_arrival(core, line, eq_.now());
     const Cycle ready = mcs_.mc(mc).request(eq_.now(), AccessKind::Read);
-    schedule_tile(mc_tile, ready, [this, core, line, kind, mc_tile] {
+    eq_.schedule_at(ready, [this, core, line, kind, mc_tile] {
       if (attr_ != nullptr) attr_->on_memory_data(core, line, eq_.now());
       net_.send(mc_tile, core, MsgClass::Data, [this, core, line, kind] {
         // Bypassed lines are exclusive by runtime discipline (the paper's

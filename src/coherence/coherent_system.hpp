@@ -38,7 +38,6 @@
 #include "nuca/mapping.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/joiner.hpp"
-#include "sim/sharded_event_queue.hpp"
 #include "stats/counters.hpp"
 
 namespace tdn::obs {
@@ -94,21 +93,6 @@ class CoherentSystem final : public nuca::CacheOps {
   /// Attach the shared resource-health view. Null (the default) keeps every
   /// path identical to the fault-free protocol.
   void set_health(const fault::HealthState* health) { health_ = health; }
-
-  // --- sharded execution (sim::ShardedEventQueue) -----------------------
-  /// Attach a sharded engine: continuations that logically run at a remote
-  /// tile (bank service, memory-controller ready, core-side launch) are
-  /// scheduled through schedule_tile, which routes them over the engine's
-  /// per-edge channels when the target tile lives outside @p home_domain.
-  /// Today the whole machine occupies one domain, so every schedule stays
-  /// local and serial-identical; the helper marks the decomposition
-  /// boundary for per-tile sharding (ROADMAP item 1 follow-on).
-  void set_shard(sim::ShardedEventQueue* engine, const noc::DomainMap* map,
-                 sim::DomainId home_domain) {
-    shard_ = engine;
-    dmap_ = map;
-    home_domain_ = home_domain;
-  }
   /// Drain a failed bank: back-invalidate tracked L1 copies, write dirty
   /// lines to memory and empty the array. Lines with an in-flight
   /// transaction are evacuated when the transaction unblocks.
@@ -325,10 +309,6 @@ class CoherentSystem final : public nuca::CacheOps {
   /// releasing this bank's block on the line.
   void bounce_request(BankId bank, CoreId requester, Addr line,
                       AccessKind kind);
-  /// Schedule @p fn to run at absolute cycle @p when *at @p tile*: through
-  /// the engine's channels when the tile's domain differs from the
-  /// scheduling context's, else a plain (serial-identical) schedule.
-  void schedule_tile(CoreId tile, Cycle when, sim::Action fn);
   void evacuate_line(BankId bank, Addr la, const LlcMeta& m);
   void flush_llc_line_now(BankId bank, Addr la, const LlcMeta& m,
                           const std::shared_ptr<sim::Joiner>& join,
@@ -346,9 +326,6 @@ class CoherentSystem final : public nuca::CacheOps {
   /// sites are single null tests and never alter timing (docs §attribution).
   obs::LatencyAttribution* attr_;
   const fault::HealthState* health_ = nullptr;
-  sim::ShardedEventQueue* shard_ = nullptr;
-  const noc::DomainMap* dmap_ = nullptr;
-  sim::DomainId home_domain_ = 0;
 
   static constexpr std::uint8_t kNoApp = 0xff;
   std::uint8_t app_of(CoreId core) const {

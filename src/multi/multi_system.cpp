@@ -5,7 +5,6 @@
 #include "common/require.hpp"
 #include "energy/energy_model.hpp"
 #include "obs/recorder.hpp"
-#include "system/sim_exec.hpp"
 
 namespace tdn::multi {
 
@@ -224,7 +223,7 @@ Cycle MultiProgramSystem::run(Cycle cycle_limit) {
       });
     }
   }
-  system::run_event_queue(eq_, cfg_, cycle_limit);
+  eq_.run_until(cycle_limit);
   TDN_REQUIRE(completed_, "mix drained without completing every app");
   Cycle makespan = 0;
   for (const auto& app : apps_)

@@ -4,15 +4,8 @@
 #include <memory>
 
 #include "common/require.hpp"
-#include "noc/domain_map.hpp"
-#include "sim/sharded_event_queue.hpp"
 
 namespace tdn::noc {
-
-sim::EventQueue& Network::queue_for(CoreId src) const {
-  if (shard_ == nullptr) return eq_;
-  return shard_->domain(dmap_->domain_of(src));
-}
 
 Network::Network(const Mesh& mesh, sim::EventQueue& eq, NetworkConfig cfg)
     : mesh_(mesh), eq_(eq), cfg_(cfg), links_(mesh.tiles()),
@@ -108,13 +101,12 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
       // An Action cannot nest inside another Action of the same capacity;
       // box it for the (rare, fault-only) backoff. This is the one place on
       // the message path that may allocate, and only when links have failed.
-      // The retry stays at the sender: its domain's queue.
       auto boxed = std::make_shared<sim::Action>(std::move(deliver));
-      queue_for(src).schedule_in(cfg_.dead_link_backoff * (attempt + 1),
-                                 [this, src, dst, cls, boxed, attempt] {
-                                   send_attempt(src, dst, cls,
-                                                std::move(*boxed), attempt + 1);
-                                 });
+      eq_.schedule_in(cfg_.dead_link_backoff * (attempt + 1),
+                      [this, src, dst, cls, boxed, attempt] {
+                        send_attempt(src, dst, cls, std::move(*boxed),
+                                     attempt + 1);
+                      });
       return;
     }
   }
@@ -130,8 +122,7 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
   }
   hops_total_ += path.size() - 1;
 
-  sim::EventQueue& src_q = queue_for(src);
-  const Cycle start = src_q.now();
+  const Cycle start = eq_.now();
   Cycle t = start;
   const Cycle serialization =
       (bytes + cfg_.link_bytes_per_cycle - 1) / cfg_.link_bytes_per_cycle;
@@ -151,23 +142,12 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
   latency_.add(static_cast<double>(t - start));
   if (auto* sink = transit_sinks_[static_cast<unsigned>(cls) & 1])
     sink->add(t - start);
-  if (shard_ != nullptr) {
-    const sim::DomainId sd = dmap_->domain_of(src);
-    const sim::DomainId dd = dmap_->domain_of(dst);
-    if (sd != dd) {
-      // Cross-domain delivery: merged at the window barrier with its serial
-      // (when, seq) stamp. One hop costs router + link >= the engine's
-      // lookahead, so t always clears the horizon.
-      shard_->schedule_cross(sd, dd, t, std::move(deliver));
-      return;
-    }
-  }
   if (t == start) {
     // Local delivery in the same cycle would re-enter the caller's stack;
     // defer by zero cycles through the queue to keep ordering uniform.
-    src_q.schedule_in(0, std::move(deliver));
+    eq_.schedule_in(0, std::move(deliver));
   } else {
-    src_q.schedule_at(t, std::move(deliver));
+    eq_.schedule_at(t, std::move(deliver));
   }
 }
 

@@ -20,13 +20,7 @@
 #include "sim/event_queue.hpp"
 #include "stats/counters.hpp"
 
-namespace tdn::sim {
-class ShardedEventQueue;
-}  // namespace tdn::sim
-
 namespace tdn::noc {
-
-class DomainMap;
 
 /// Message classes, sized as in a MESI protocol on a 64B-line system:
 /// control packets carry address + command; data packets add one line.
@@ -64,19 +58,6 @@ class Network {
   /// Attach the shared resource-health view. Null (the default) keeps
   /// routing on the plain XY path with no per-link checks.
   void set_health(const fault::HealthState* health) { health_ = health; }
-
-  /// Attach a sharded engine: deliveries whose src and dst tiles live in
-  /// different domains of @p map travel through the engine's per-edge
-  /// channels (sim::ShardedEventQueue::schedule_cross) instead of a direct
-  /// schedule, and all timing reads the *sender domain's* clock. The
-  /// engine's lookahead must not exceed DomainMap::min_lookahead(config())
-  /// — one hop is the cheapest cross-domain delivery, so every channel
-  /// send clears the horizon by construction. Detach with nulls. The
-  /// default (unattached) path is byte-for-byte the serial behavior.
-  void set_shard(sim::ShardedEventQueue* engine, const DomainMap* map) {
-    shard_ = engine;
-    dmap_ = map;
-  }
 
   /// Attach per-class transit-latency histogram sinks (obs latency
   /// attribution). Null sinks (the default) cost one pointer test per send.
@@ -155,15 +136,9 @@ class Network {
   void send_attempt(CoreId src, CoreId dst, MsgClass cls,
                     sim::Action deliver, unsigned attempt);
 
-  /// The clock + local-delivery queue for a message entering at @p src:
-  /// the sender domain's queue when sharded, else the single serial queue.
-  sim::EventQueue& queue_for(CoreId src) const;
-
   const Mesh& mesh_;
   sim::EventQueue& eq_;
   NetworkConfig cfg_;
-  sim::ShardedEventQueue* shard_ = nullptr;
-  const DomainMap* dmap_ = nullptr;
   const fault::HealthState* health_ = nullptr;
   std::array<obs::LatencyHistogram*, 2> transit_sinks_{};  ///< [Control, Data]
   std::vector<std::array<Link, 4>> links_;

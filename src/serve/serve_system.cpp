@@ -7,7 +7,6 @@
 #include "common/require.hpp"
 #include "energy/energy_model.hpp"
 #include "obs/recorder.hpp"
-#include "system/sim_exec.hpp"
 
 namespace tdn::serve {
 
@@ -249,7 +248,7 @@ Cycle ServeSystem::run(Cycle cycle_limit) {
     });
     watchdog_->arm();
   }
-  system::run_event_queue(eq_, cfg_, cycle_limit);
+  eq_.run_until(cycle_limit);
   TDN_REQUIRE(completed_,
               "serving drained without completing every admitted request");
   graveyard_.clear();  // queue is empty: no event references retired state

@@ -73,73 +73,4 @@ Cycle EventQueue::run_until(Cycle limit) {
   return now_;
 }
 
-void EventQueue::run_window(Cycle horizon) {
-  TDN_REQUIRE(shard_ != nullptr, "run_window is engine-only");
-  shard_->in_window = true;
-  // Reset in_window even when an action throws — the engine's barrier
-  // replay still runs (it must renumber whatever this window created), and
-  // any schedule it performs afterwards is between-windows.
-  struct WindowExit {
-    ShardClient* s;
-    ~WindowExit() { s->in_window = false; }
-  } window_exit{shard_};
-  while (!heap_.empty()) {
-    Event* top = heap_.front();
-    if (top->when >= horizon) break;
-    Event* ev = pop_top();
-    struct Recycler {
-      EventQueue* q;
-      Event* e;
-      ~Recycler() { q->recycle(e); }
-    } recycler{this, ev};
-    const auto exec_idx = static_cast<std::int32_t>(shard_->execs.size());
-    const bool provisional = (ev->seq & kProvisionalBit) != 0;
-    if (provisional) {
-      // Link this exec back to the emit that created the event, and null
-      // the emit's pointer: the slot recycles at end of scope and may be
-      // reused within this same window.
-      shard_->emits[ev->emit_idx].child_exec = exec_idx;
-      shard_->emits[ev->emit_idx].ev = nullptr;
-    }
-    shard_->execs.push_back(ShardClient::ExecRec{
-        ev->when, ev->seq, static_cast<std::uint32_t>(shard_->emits.size()),
-        0, provisional});
-    // Close the exec's emit range even if the action throws: children it
-    // managed to schedule before throwing are real and must be renumbered.
-    struct CloseExec {
-      ShardClient* s;
-      std::int32_t idx;
-      ~CloseExec() {
-        s->execs[static_cast<std::size_t>(idx)].emit_end =
-            static_cast<std::uint32_t>(s->emits.size());
-      }
-    } close_exec{shard_, exec_idx};
-    if (ev->observer) {
-      --observer_pending_;
-      // No drop policy here: the engine caps the horizon at limit + 1, so
-      // any beyond-limit observer is handled by the engine's end phase
-      // with full cross-domain visibility.
-      now_ = ev->when;
-      ev->fn();
-      continue;
-    }
-    now_ = ev->when;
-    ev->fn();
-    ++executed_;
-  }
-}
-
-void EventQueue::inject(Cycle when, std::uint64_t seq, Action fn) {
-  TDN_REQUIRE(when >= now_, "cannot deliver a message in the past");
-  if (free_.empty()) grow_pool();
-  Event* ev = free_.back();
-  free_.pop_back();
-  ev->when = when;
-  ev->seq = seq;  // the serial seq assigned at the window barrier
-  ev->observer = false;
-  ev->emit_idx = kNoEmit;
-  ev->fn = std::move(fn);
-  push_event(ev);
-}
-
 }  // namespace tdn::sim

@@ -18,11 +18,6 @@
 // runs in destructors during unwind) and lets commit() stamp the sequence
 // number and observer census only after the action is safely in place — a
 // throwing capture constructor leaks no seq and skews no counter.
-//
-// Sharded mode (DESIGN.md decision 7): a ShardedEventQueue may attach to
-// one or more EventQueues and drive them in bounded windows on worker
-// threads. The hooks below (ShardClient, run_window, inject) are engine-only
-// plumbing; the serial path pays exactly one predictable branch in commit().
 #pragma once
 
 #include <cstdint>
@@ -46,8 +41,6 @@ inline constexpr std::size_t kActionCapacity = 120;
 /// continuations (noc::Network) and blocked-directory queues
 /// (coherence::CoherentSystem) so those paths are allocation-free too.
 using Action = InlineFunction<void(), kActionCapacity>;
-
-class ShardedEventQueue;
 
 class EventQueue {
  public:
@@ -160,20 +153,9 @@ class EventQueue {
   std::size_t free_capacity() const noexcept { return free_.capacity(); }
 
  private:
-  friend class ShardedEventQueue;
-
-  /// Sentinel: event was not created inside a sharded window.
-  static constexpr std::uint32_t kNoEmit = 0xffffffffu;
-  /// Seqs with this bit set are *provisional*: assigned inside a sharded
-  /// window and renumbered to their serial values at the window barrier.
-  /// The bit places them after every committed (serial) seq, which is
-  /// exactly where the serial order puts events that do not exist yet.
-  static constexpr std::uint64_t kProvisionalBit = 1ull << 63;
-
   struct Event {
     Cycle when = 0;
     std::uint64_t seq = 0;
-    std::uint32_t emit_idx = kNoEmit;  ///< shard-mode backref, see ShardClient
     bool observer = false;
     Action fn;
   };
@@ -185,36 +167,9 @@ class EventQueue {
   };
   static constexpr std::size_t kChunk = 256;
 
-  /// Engine-side bookkeeping for one domain of a ShardedEventQueue. The
-  /// emit log records every schedule made inside the current window in
-  /// program order; the exec log records every event run. At the window
-  /// barrier the engine replays these records in serial (when, seq) order
-  /// to assign the exact sequence numbers a serial run would have produced
-  /// (sharded_event_queue.hpp has the full argument).
-  struct ShardClient {
-    struct EmitRec {
-      Cycle when = 0;
-      Event* ev = nullptr;           ///< pending local child; null once run
-      std::int32_t child_exec = -1;  ///< exec-log index if run this window
-      std::int32_t channel_msg = -1; ///< engine channel index (cross sends)
-    };
-    struct ExecRec {
-      Cycle when = 0;
-      std::uint64_t seq = 0;
-      std::uint32_t emit_begin = 0;
-      std::uint32_t emit_end = 0;
-      bool provisional = false;
-    };
-    std::uint64_t* global_seq = nullptr;  ///< engine's serial seq counter
-    bool in_window = false;
-    std::uint64_t prov_count = 0;  ///< provisional ranks, reset per window
-    std::vector<EmitRec> emits;
-    std::vector<ExecRec> execs;
-  };
-
   /// Returns an acquired-but-uncommitted slot to the free list when the
-  /// action's capture constructor (or the shard emit log) throws. recycle()
-  /// cannot allocate (grow_pool invariant), so unwinding stays safe.
+  /// action's capture constructor throws. recycle() cannot allocate
+  /// (grow_pool invariant), so unwinding stays safe.
   struct PoolGuard {
     EventQueue* q;
     Event* ev;
@@ -234,27 +189,15 @@ class EventQueue {
     free_.pop_back();
     ev->when = when;
     ev->observer = observer;
-    ev->emit_idx = kNoEmit;
     return ev;
   }
 
-  /// Stamp the seq and enqueue a fully-built event. Everything after the
-  /// (possibly allocating) shard emit-log append is no-throw, so a failure
-  /// anywhere leaves seq counters, the heap and the observer census
-  /// untouched — the caller's PoolGuard returns the slot.
-  void commit(Event* ev) {
-    if (shard_ == nullptr) {
-      ev->seq = next_seq_++;
-    } else if (shard_->in_window) {
-      shard_->emits.push_back(ShardClient::EmitRec{ev->when, ev, -1, -1});
-      ev->emit_idx = static_cast<std::uint32_t>(shard_->emits.size() - 1);
-      ev->seq = kProvisionalBit | shard_->prov_count++;
-    } else {
-      // Attached but between windows (program setup): draw from the
-      // engine-wide counter so cross-domain schedule order is call order,
-      // exactly as one serial queue would number them.
-      ev->seq = (*shard_->global_seq)++;
-    }
+  /// Stamp the seq and enqueue a fully-built event. Runs only after the
+  /// action is in place and cannot throw, so a failed capture leaves seq
+  /// counters, the heap and the observer census untouched — the caller's
+  /// PoolGuard returns the slot.
+  void commit(Event* ev) noexcept {
+    ev->seq = next_seq_++;
     push_event(ev);
     if (ev->observer) ++observer_pending_;
   }
@@ -268,14 +211,6 @@ class EventQueue {
   }
   void grow_pool();
 
-  /// Engine-only: run every event strictly before @p horizon, recording
-  /// exec/emit bookkeeping for the barrier replay. Cycle-limit and observer
-  /// drop policy stay with the engine, which sees all domains.
-  void run_window(Cycle horizon);
-  /// Engine-only: deliver a cross-domain message carrying the serial seq
-  /// assigned at the window barrier.
-  void inject(Cycle when, std::uint64_t seq, Action fn);
-
   std::vector<Event*> heap_;  ///< binary min-heap of pooled events
   std::vector<Event*> free_;  ///< recycled slots
   std::vector<std::unique_ptr<Event[]>> chunks_;
@@ -284,7 +219,6 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::uint64_t observer_dropped_ = 0;
   std::size_t observer_pending_ = 0;
-  ShardClient* shard_ = nullptr;  ///< non-null while attached to an engine
 };
 
 }  // namespace tdn::sim

@@ -35,17 +35,6 @@ const char* to_string(PolicyKind k);
 
 enum class SchedulerKind : std::uint8_t { Fifo, Affinity };
 
-/// Sharded-engine execution knobs (sim::ShardedEventQueue). Like --jobs,
-/// these change *how* a simulation executes, never *what* it computes —
-/// results are bit-identical for every setting — so SystemConfig's
-/// fingerprint deliberately excludes them (a cached result is valid for
-/// any thread count). docs/harness.md §sim.threads.
-struct SimConfig {
-  /// Worker threads for the event engine. 1 (the default) runs the
-  /// original serial EventQueue code path, untouched.
-  unsigned threads = 1;
-};
-
 struct SystemConfig {
   unsigned mesh_w = 4;
   unsigned mesh_h = 4;
@@ -67,15 +56,10 @@ struct SystemConfig {
   nuca::RNucaConfig rnuca{};
   tdnuca::HooksConfig hooks{};
   fault::FaultConfig fault{};
-  /// Execution-only (excluded from fingerprint()): see SimConfig.
-  SimConfig sim{};
 
   unsigned num_cores() const { return mesh_w * mesh_h; }
 
-  /// Stable hash over every *behavior* field, for the results cache.
-  /// Execution-only knobs (sim.threads) are excluded: results are
-  /// bit-identical across them by the sharded-engine contract, so they
-  /// must share cache entries and goldens.
+  /// Stable hash over every field, for the results cache.
   std::uint64_t fingerprint() const;
 };
 

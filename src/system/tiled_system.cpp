@@ -7,7 +7,6 @@
 #include "common/require.hpp"
 #include "fault/invariant.hpp"
 #include "obs/recorder.hpp"
-#include "system/sim_exec.hpp"
 
 namespace tdn::system {
 
@@ -389,7 +388,7 @@ Cycle TiledSystem::run(Cycle cycle_limit) {
   if (injector_) injector_->arm();
   if (watchdog_) watchdog_->arm();
   runtime_->run([this] { completed_ = true; });
-  run_event_queue(eq_, cfg_, cycle_limit);
+  eq_.run_until(cycle_limit);
   TDN_REQUIRE(completed_, "simulation drained without completing all tasks");
   if (cfg_.fault.check_invariants) {
     const fault::HealthState* hs =

@@ -147,7 +147,9 @@ TEST(CkptCodec, DecoderThrowsOnTruncationNeverReadsPast) {
   ckpt::Encoder e;
   e.u64(42);
   const std::string bytes = e.take();
-  ckpt::Decoder d(bytes.substr(0, 5));
+  // The Decoder only views its input, so the truncated copy must outlive it.
+  const std::string truncated = bytes.substr(0, 5);
+  ckpt::Decoder d(truncated);
   EXPECT_THROW(d.u64(), ckpt::SnapshotError);
   ckpt::Decoder d2(bytes);
   (void)d2.u64();

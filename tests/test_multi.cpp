@@ -228,10 +228,12 @@ TEST(MultiProgramFault, DeadBankInOnePartitionDegradesOnlyThatApp) {
   EXPECT_EQ(sys.caches().app_resident_lines(0, 3), 0u);  // dead bank drained
   for (unsigned a = 0; a < 2; ++a) {
     const BankMask own = sys.app_banks(a);
-    for (BankId b = 0; b < 16; ++b)
-      if (!own.test(b))
+    for (BankId b = 0; b < 16; ++b) {
+      if (!own.test(b)) {
         EXPECT_EQ(sys.caches().app_resident_lines(a, b), 0u)
             << "app " << a << " bank " << b;
+      }
+    }
   }
   // Both apps finish all their tasks despite the failure.
   const auto reg = sys.collect_stats();

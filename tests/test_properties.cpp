@@ -65,7 +65,9 @@ TEST_P(PlruProperty, VictimAlwaysValidAndNotMru) {
   for (int i = 0; i < 2000; ++i) {
     const unsigned v = t.victim();
     ASSERT_LT(v, ways);
-    if (ways > 1 && last_touched < ways) EXPECT_NE(v, last_touched);
+    if (ways > 1 && last_touched < ways) {
+      EXPECT_NE(v, last_touched);
+    }
     last_touched = static_cast<unsigned>(rng.next_below(ways));
     t.touch(last_touched);
   }

@@ -125,8 +125,8 @@ TEST(RuntimeSystem, BuildsRawEdges) {
 TEST(RuntimeSystem, IndependentTasksRunInParallel) {
   RtRig rig;
   for (int i = 0; i < 4; ++i) {
-    const AddrRange r{0x10000000 + i * 0x10000,
-                      0x10000000 + i * 0x10000 + 0x2000};
+    const Addr base = 0x10000000 + static_cast<Addr>(i) * 0x10000;
+    const AddrRange r{base, base + 0x2000};
     const DepId d = rig.rt->region(r);
     rig.rt->create_task("t", {{d, DepUse::In}}, rig.tiny_prog(r));
   }
@@ -184,8 +184,8 @@ TEST(RuntimeSystem, EmptyTaskwaitCoalesces) {
 TEST(RuntimeSystem, CompletesAllAndRecordsMakespan) {
   RtRig rig;
   for (int i = 0; i < 10; ++i) {
-    const AddrRange r{0x10000000 + i * 0x1000,
-                      0x10000000 + i * 0x1000 + 0x400};
+    const Addr base = 0x10000000 + static_cast<Addr>(i) * 0x1000;
+    const AddrRange r{base, base + 0x400};
     rig.rt->create_task("t", {{rig.rt->region(r), DepUse::In}},
                         rig.tiny_prog(r));
   }
