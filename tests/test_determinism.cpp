@@ -41,6 +41,9 @@ struct GoldenCase {
   double scale = 0.25;
   const char* arrival = "";  ///< non-empty: an open-arrival serving run
   bool adaptive = false;
+  bool vm = false;          ///< tdn::vm on, 4K pages only (THP never)
+  const char* faults = "";  ///< fault plan (docs/faults.md DSL)
+  Cycle ckpt_every = 0;     ///< serving checkpoint cadence; no directory
 };
 
 // Schema v8 goldens (v8 added the tdn::vm options segment — disabled runs
@@ -65,6 +68,20 @@ const GoldenCase kGoldens[] = {
      0xae1e0c5794264718ull, 0.02, "poisson:gap=40k"},
     {"gauss+histo", system::PolicyKind::TdNuca, 0xe52cdb61959e984bull,
      0x5bc672a6b2662334ull, 0.02, "poisson:gap=40k", /*adaptive=*/true},
+    // One row per machine feature the rows above leave off: page walks
+    // through the hierarchy in a tiled run and in a mix, a bank failure plus
+    // an RRT soft error, and serving with checkpoint folds (the cadence runs
+    // the fold and cold reset; with no directory no snapshot is written).
+    {"randtouch", system::PolicyKind::TdNuca, 0x3793f6fdbd564590ull,
+     0x68f3f19fcf50907cull, 0.25, "", false, /*vm=*/true},
+    {"kmeans", system::PolicyKind::TdNuca, 0x8263cf2758de963eull,
+     0x559fbbbd7cabbc6bull, 0.25, "", false, false,
+     "bank_fail@3:cycle=5k,rrt_flip@core0:cycle=20k"},
+    {"randtouch+kmeans", system::PolicyKind::TdNuca, 0x0073f74aaa55334full,
+     0xf6f72337dc71c8f8ull, 0.125, "", false, /*vm=*/true},
+    {"gauss+histo", system::PolicyKind::TdNuca, 0xcb0111bf99949892ull,
+     0x6c8bebd45c875451ull, 0.02, "poisson:gap=40k", false, false, "",
+     /*ckpt_every=*/200'000},
 };
 
 harness::RunConfig golden_config(const GoldenCase& c) {
@@ -73,6 +90,12 @@ harness::RunConfig golden_config(const GoldenCase& c) {
   cfg.policy = c.policy;
   cfg.serve.arrival = c.arrival;
   cfg.serve.adaptive = c.adaptive;
+  if (c.vm) {
+    cfg.sys.vm.enabled = true;
+    cfg.sys.vm.thp = vm::ThpPolicy::Never;
+  }
+  cfg.sys.fault.plan = c.faults;
+  cfg.ckpt.every = c.ckpt_every;
   // A serving run sizes each request by request_scale, never params.scale.
   if (cfg.serve.enabled())
     cfg.serve.request_scale = c.scale;
