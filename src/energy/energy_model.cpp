@@ -30,11 +30,10 @@ EnergyBreakdown compute_energy(const EnergyInputs& in,
   return e;
 }
 
-EnergyBreakdown compute_energy(const coherence::CoherentSystem& caches,
-                               const noc::Network& net,
-                               const mem::MemControllers& mcs,
-                               std::uint64_t rrt_lookups,
-                               const EnergyParams& p) {
+EnergyInputs energy_inputs(const coherence::CoherentSystem& caches,
+                           const noc::Network& net,
+                           const mem::MemControllers& mcs,
+                           std::uint64_t rrt_lookups) {
   const auto& s = caches.stats();
   EnergyInputs in;
   in.llc_requests = s.llc_requests.value();
@@ -47,7 +46,15 @@ EnergyBreakdown compute_energy(const coherence::CoherentSystem& caches,
   in.noc_router_bytes = net.total_router_bytes();
   in.dram_accesses = mcs.total_accesses();
   in.rrt_lookups = rrt_lookups;
-  return compute_energy(in, p);
+  return in;
+}
+
+EnergyBreakdown compute_energy(const coherence::CoherentSystem& caches,
+                               const noc::Network& net,
+                               const mem::MemControllers& mcs,
+                               std::uint64_t rrt_lookups,
+                               const EnergyParams& p) {
+  return compute_energy(energy_inputs(caches, net, mcs, rrt_lookups), p);
 }
 
 }  // namespace tdn::energy

@@ -64,6 +64,12 @@ struct EnergyInputs {
 EnergyBreakdown compute_energy(const EnergyInputs& in,
                                const EnergyParams& params = {});
 
+/// The event counts the live objects have accumulated so far.
+EnergyInputs energy_inputs(const coherence::CoherentSystem& caches,
+                           const noc::Network& net,
+                           const mem::MemControllers& mcs,
+                           std::uint64_t rrt_lookups);
+
 /// Aggregate dynamic energy from the run's event counts.
 /// @p rrt_lookups is 0 for policies without an RRT.
 EnergyBreakdown compute_energy(const coherence::CoherentSystem& caches,

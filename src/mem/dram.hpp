@@ -51,9 +51,6 @@ class MemController {
   }
 
   // --- checkpoint fold (tdn::ckpt) -------------------------------------
-  /// Queue-delay numerator/denominator for exact mean recombination.
-  double queue_delay_total() const noexcept { return queue_delay_.total(); }
-  double queue_delay_weight() const noexcept { return queue_delay_.weight(); }
   /// Fold-and-reset traffic counters at a quiescent checkpoint boundary.
   /// next_free_ is preserved deliberately: an injected stall horizon can
   /// extend past the boundary, and the restore path replays it via

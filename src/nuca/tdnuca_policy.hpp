@@ -68,10 +68,6 @@ class TdNucaPolicy final : public MappingPolicy {
   unsigned max_rrt_occupancy() const;
 
   // --- checkpoint cold-normalization (tdn::ckpt) ------------------------
-  /// Numerator/denominator for exact mean-occupancy recombination across a
-  /// checkpoint fold.
-  double occupancy_total() const noexcept { return occupancy_.total(); }
-  double occupancy_weight() const noexcept { return occupancy_.weight(); }
   /// Drop every RRT entry (retired requests' registrations must not steer a
   /// restored run) and fold-and-reset the lookup statistics. Quiescence
   /// guarantees no dependency ranges are live, so clearing loses nothing.

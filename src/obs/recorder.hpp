@@ -93,7 +93,7 @@ class Recorder {
   /// request-lifecycle spans on tid kServeTrackBase + s.
   static constexpr std::uint32_t kServeTrackBase = 1100;
 
-  // --- wiring (done by system::TiledSystem at construction) -------------
+  // --- wiring (done by system::Machine and the front-ends) --------------
   /// Probe callables live inline (no heap), same substrate rule as
   /// sim::Action; 48 bytes covers every registered probe (a `this` pointer
   /// plus a few indices / running counters).
@@ -190,5 +190,37 @@ class Recorder {
 
 /// Write @p content to @p path; returns false (and logs) on I/O failure.
 bool write_file(const std::string& path, const std::string& content);
+
+/// Epoch-probe delta of a cumulative counter. A drop (a checkpoint fold
+/// reset the counter) counts from zero.
+inline std::uint64_t since(std::uint64_t& prev, std::uint64_t cur) {
+  const std::uint64_t d = cur >= prev ? cur - prev : cur;
+  prev = cur;
+  return d;
+}
+
+/// Heatmap fill with one value per mesh tile: get(t) for t in [0, n).
+template <class F>
+auto per_tile(unsigned n, F get) {
+  return [n, get] {
+    std::vector<double> v(n);
+    for (unsigned t = 0; t < n; ++t) v[t] = static_cast<double>(get(t));
+    return v;
+  };
+}
+
+/// Epoch series of the hit ratio over each epoch's new hits and misses;
+/// @p read returns the cumulative (hits, misses).
+template <class F>
+auto epoch_hit_ratio(F read) {
+  return [read, ph = std::uint64_t{0}, pm = std::uint64_t{0}]() mutable {
+    const auto [hits, misses] = read();
+    const std::uint64_t dh = since(ph, hits);
+    const std::uint64_t dm = since(pm, misses);
+    return (dh + dm) > 0
+               ? static_cast<double>(dh) / static_cast<double>(dh + dm)
+               : 0.0;
+  };
+}
 
 }  // namespace tdn::obs

@@ -4,8 +4,8 @@
 // instead of N fixed co-resident applications, task-graph *requests* arrive
 // over simulated time (serve::ArrivalSpec), pass an admission controller with
 // a bounded pending queue, and execute one-at-a-time on row-granular worker
-// slots of the shared LLC/NoC/DRAM substrate. Each request gets a fresh
-// runtime, scheduler and kAppStride-aligned address-space slice (slice
+// slots of one system::Machine. Each request gets a fresh program (runtime,
+// scheduler, hooks) and a kAppStride-aligned address-space slice (slice
 // slot + slots * generation; the wrap-mode AppRouter folds slices back onto
 // slots), so consecutive requests on a slot can never alias in memory and a
 // mid-stream policy switch never leaves two policies disagreeing about a
@@ -30,13 +30,13 @@
 // Checkpoint/restore (tdn::ckpt, docs/serving.md §checkpointing): with
 // set_checkpoint(), the run periodically drains to a dispatch-boundary
 // quiescent point (no slot busy, no transaction in flight), folds every
-// machine counter into a baseline, cold-normalizes the machine (arrays,
-// TLBs, RRTs, page classifications, VA mappings) and publishes a crash-safe
-// snapshot of the logical serving state. Because the continuing run performs
-// the *same* fold and cold-reset it snapshots, a run restored from any
-// snapshot replays the identical event stream: end-of-run metrics — counts,
-// means, energies, and every tail percentile — are bit-identical to the
-// uninterrupted run's. Checkpoint cadence is simulated behavior and enters
+// machine counter into the machine's baseline, cold-normalizes the machine
+// (arrays, TLBs, RRTs, page classifications, VA mappings) and publishes a
+// crash-safe snapshot of the logical serving state. Because the continuing
+// run performs the *same* fold and cold-reset it snapshots, a run restored
+// from any snapshot replays the identical event stream: end-of-run metrics —
+// counts, means, energies, and every tail percentile — are bit-identical to
+// the uninterrupted run's. Checkpoint cadence is simulated behavior and enters
 // the fingerprint via ckpt::Options::canonical().
 #pragma once
 
@@ -46,35 +46,14 @@
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
-#include "coherence/coherent_system.hpp"
-#include "energy/energy_model.hpp"
-#include "fault/watchdog.hpp"
-#include "core/sim_core.hpp"
-#include "fault/injector.hpp"
 #include "mem/address_space.hpp"
-#include "mem/dram.hpp"
-#include "mem/page_table.hpp"
 #include "multi/app_router.hpp"
 #include "multi/mix.hpp"
-#include "noc/mesh.hpp"
-#include "noc/network.hpp"
-#include "nuca/rnuca.hpp"
-#include "nuca/snuca.hpp"
-#include "nuca/tdnuca_policy.hpp"
 #include "obs/latency_histogram.hpp"
-#include "runtime/runtime_system.hpp"
-#include "runtime/scheduler.hpp"
 #include "serve/arrival.hpp"
 #include "serve/options.hpp"
-#include "sim/event_queue.hpp"
-#include "stats/registry.hpp"
-#include "system/config.hpp"
-#include "tdnuca/runtime_hooks.hpp"
+#include "system/machine.hpp"
 #include "workloads/workload.hpp"
-
-namespace tdn::obs {
-class Recorder;
-}
 
 namespace tdn::serve {
 
@@ -133,7 +112,7 @@ class ServeSystem {
   }
   /// The liveness watchdog, armed by run() when
   /// config().fault.watchdog_budget > 0 (null before run() / when off).
-  fault::Watchdog* watchdog() noexcept { return watchdog_.get(); }
+  fault::Watchdog* watchdog() noexcept { return machine_.watchdog(); }
 
   // --- introspection ----------------------------------------------------
   unsigned num_tenants() const noexcept {
@@ -148,10 +127,14 @@ class ServeSystem {
   const TenantQos& tenant_qos(unsigned t) const { return qos_.at(t); }
   const obs::LatencyHistogram& sojourn() const noexcept { return sojourn_; }
 
-  sim::EventQueue& events() noexcept { return eq_; }
-  const system::SystemConfig& config() const noexcept { return cfg_; }
+  sim::EventQueue& events() noexcept { return machine_.events(); }
+  const system::SystemConfig& config() const noexcept {
+    return machine_.config();
+  }
   const ServeOptions& options() const noexcept { return opts_; }
-  fault::FaultInjector* fault_injector() noexcept { return injector_.get(); }
+  fault::FaultInjector* fault_injector() noexcept {
+    return machine_.fault_injector();
+  }
 
   /// Machine totals mirror MultiProgramSystem::collect_stats (sim.*, llc.*,
   /// noc.*, dram.*, energy.*); serving metrics live under serve.* and
@@ -165,32 +148,22 @@ class ServeSystem {
     Cycle arrive = 0;
     Cycle dispatch = 0;
     Cycle complete = 0;
-    unsigned slot = 0;
-    bool shed = false;
-    bool done = false;
   };
 
   /// Everything owned by one in-flight request; destroyed (via the
   /// graveyard) after its runtime drains.
   struct Live {
     std::unique_ptr<mem::VirtualSpace> vspace;
-    std::unique_ptr<runtime::Scheduler> scheduler;
-    std::unique_ptr<runtime::RuntimeHooks> hooks_base;
-    std::unique_ptr<tdnuca::TdNucaRuntimeHooks> hooks_td;
-    std::unique_ptr<runtime::RuntimeSystem> rt;
+    system::Program program;
     std::unique_ptr<workloads::Workload> workload;
   };
 
   struct Slot {
     CoreMask cores;
     BankMask banks;
-    std::vector<core::SimCore*> core_ptrs;
-    // Adaptive mode builds both tdnuca and rnuca; otherwise exactly one of
-    // the three is non-null per cfg.policy.
-    std::unique_ptr<nuca::SNucaPolicy> snuca;
-    std::unique_ptr<nuca::RNucaPolicy> rnuca;
-    std::unique_ptr<nuca::TdNucaPolicy> tdnuca;
-    nuca::MappingPolicy* policy = nullptr;  ///< initial router entry
+    /// Owned by the machine. Adaptive mode holds both tdnuca and rnuca;
+    /// otherwise the one cfg.policy names.
+    system::PolicySet* policies = nullptr;
     bool busy = false;
     unsigned generation = 0;  ///< completed dispatches on this slot
     std::unique_ptr<Live> live;
@@ -208,42 +181,6 @@ class ServeSystem {
   void register_observability();
 
   // --- checkpoint machinery (tdn::ckpt) ---------------------------------
-  /// Per-slot AppView counters folded at checkpoint boundaries (they feed
-  /// the serve.slotN.llc.* keys).
-  struct SlotBaseline {
-    std::uint64_t llc_requests = 0;
-    std::uint64_t llc_hits = 0;
-    std::uint64_t llc_misses = 0;
-    std::uint64_t llc_writebacks = 0;
-    std::uint64_t bypass_reads = 0;
-  };
-  /// Machine counters folded (and then reset) at every checkpoint boundary.
-  /// collect_stats() always reports baseline + fresh, so the continuing and
-  /// any restored lineage compute each metric from identical operands —
-  /// double accumulation is not associative, which is exactly why the
-  /// continuing run must fold too instead of just letting its counters run.
-  struct MachineBaseline {
-    std::uint64_t events = 0;  ///< executed events (restored lineages only)
-    std::uint64_t llc_hits = 0;
-    std::uint64_t bypass_reads = 0;
-    std::uint64_t noc_messages = 0;
-    energy::EnergyInputs en;  ///< l1/llc/flush/noc/dram/rrt event counts
-    double nuca_total = 0.0;  ///< Sampled numerators/denominators
-    double nuca_weight = 0.0;
-    double miss_lat_total = 0.0;
-    double miss_lat_weight = 0.0;
-    // Translation counters, folded from every core's Mmu (payload v2).
-    std::uint64_t tlb_hits = 0;
-    std::uint64_t tlb_misses = 0;
-    std::uint64_t tlb_shootdowns = 0;
-    std::uint64_t l2_tlb_hits = 0;
-    std::uint64_t walks = 0;
-    std::uint64_t walk_loads = 0;
-    Cycle walk_cycles = 0;
-    Cycle isa_walk_cycles = 0;
-    std::uint64_t psc_hits = 0;
-    std::uint64_t huge_fallbacks = 0;
-  };
   bool ckpt_active() const noexcept { return ckpt_.enabled(); }
   /// Standalone cadence chain (non-adaptive mode only; adaptive rides the
   /// epoch-tick chain — see set_checkpoint).
@@ -259,29 +196,21 @@ class ServeSystem {
   /// At the quiescent point: fold+reset counters, cold-normalize, publish
   /// the snapshot, then resume dispatching (or throw on an interrupt).
   void ckpt_fold();
-  void fold_machine_counters();
-  void cold_normalize();
   std::string encode_snapshot() const;
   /// Begin an off-cadence emergency drain when a SIGINT/SIGTERM handler
   /// raised the ckpt interrupt flag.
   void poll_interrupt();
 
-  system::SystemConfig cfg_;
   multi::MixSpec tenants_;
   ServeOptions opts_;
   obs::Recorder* rec_ = nullptr;
 
-  sim::EventQueue eq_;
-  noc::Mesh mesh_;
-  mem::PageTable page_table_;
-  std::unique_ptr<noc::Network> net_;
-  std::unique_ptr<mem::MemControllers> mcs_;
-  std::vector<Slot> slots_;
+  // Declared before machine_, so the router outlives the hierarchy that
+  // refers to it.
   std::unique_ptr<multi::AppRouter> router_;
-  std::unique_ptr<coherence::CoherentSystem> caches_;
-  std::vector<std::unique_ptr<core::SimCore>> cores_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  const fault::HealthState* health_ = nullptr;
+  system::Machine machine_;
+  sim::EventQueue& eq_ = machine_.events();
+  std::vector<Slot> slots_;
 
   workloads::WorkloadParams params_;
   std::vector<Request> requests_;
@@ -317,12 +246,12 @@ class ServeSystem {
   bool marker_alive_ = false;  ///< a cadence marker is scheduled
   Cycle next_marker_at_ = 0;   ///< its absolute cycle (valid when alive)
   std::uint64_t snapshots_written_ = 0;
-  MachineBaseline baseline_;
-  std::vector<SlotBaseline> slot_baseline_;
+  /// Per-slot AppView counters folded at checkpoint boundaries (they feed
+  /// the serve.slotN.llc.* keys).
+  std::vector<coherence::CoherentSystem::AppCounters> slot_baseline_;
   bool resumed_ = false;
   Cycle resume_cycle_ = 0;
   std::uint64_t cursor_ = 0;  ///< arrivals consumed before the snapshot
-  std::unique_ptr<fault::Watchdog> watchdog_;
 
   bool built_ = false;
   bool ran_ = false;
