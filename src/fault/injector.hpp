@@ -87,7 +87,7 @@ class FaultInjector {
   ///    would have.
   ///
   /// RRT soft-error events replay as no-ops against the cold (empty) tables;
-  /// in serving configurations the TD-NUCA target is detached anyway, so
+  /// serving has no RRT target and rejects them wherever it has RRTs, so
   /// this loses nothing. Call after EventQueue::fast_forward(resume).
   void arm_from(Cycle resume);
 
