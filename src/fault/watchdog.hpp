@@ -34,8 +34,8 @@ class Watchdog {
   Watchdog(sim::EventQueue& eq, Cycle budget) : eq_(eq), budget_(budget) {}
 
   /// The progress witness: any monotonically increasing counter that moves
-  /// whenever the simulation does useful work (default: tasks completed +
-  /// memory requests retired; set by TiledSystem).
+  /// whenever the simulation does useful work (system::Machine sets memory
+  /// requests retired plus the front-end's own progress count).
   void set_progress(std::function<std::uint64_t()> fn) {
     progress_ = std::move(fn);
   }

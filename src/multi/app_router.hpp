@@ -39,22 +39,14 @@ class AppRouter final : public nuca::MappingPolicy {
     return app_policy(vaddr).on_access(core, vaddr, kind);
   }
 
-  /// The system builder injects CacheOps once, into the router; every app
-  /// policy needs it too (R-NUCA reclassification / TD-NUCA flushes).
-  void set_ops(nuca::CacheOps* ops) override {
-    nuca::MappingPolicy::set_ops(ops);
-    for (nuca::MappingPolicy* p : apps_) p->set_ops(ops);
-  }
-
   /// Swap the policy behind slot @p idx (tdn::serve adaptive switching:
   /// future dispatches on the slot route through a different policy; the
   /// old one keeps serving its still-cached lines by L1 home, which never
-  /// consults the router). The new policy receives the injected CacheOps.
+  /// consults the router).
   void set_policy(unsigned idx, nuca::MappingPolicy* p) {
     TDN_REQUIRE(idx < apps_.size(), "slot index out of range");
     TDN_REQUIRE(p != nullptr, "null slot policy");
     apps_[idx] = p;
-    if (ops_ != nullptr) p->set_ops(ops_);
   }
 
  private:

@@ -1,9 +1,8 @@
 // tdn::multi — multiprogram colocation on one shared NUCA substrate.
 //
 // A mix describes N independent task-dataflow applications co-scheduled on
-// disjoint (or overlapping) core partitions of a single TiledSystem-class
-// machine: one event queue, one NoC, one banked LLC and one DRAM subsystem,
-// N runtimes. Mixes are spelled as '+'-joined workload names ("gauss+histo")
+// disjoint (or overlapping) core partitions of one system::Machine: one
+// event queue, one NoC, one banked LLC and one DRAM subsystem, N runtimes. Mixes are spelled as '+'-joined workload names ("gauss+histo")
 // so they flow through the existing RunConfig / results-cache plumbing as
 // ordinary workload strings.
 #pragma once

@@ -72,8 +72,9 @@ class MappingPolicy {
     return 0;
   }
 
-  /// Inject the cache-maintenance backend (called by the system builder).
-  virtual void set_ops(CacheOps* ops) { ops_ = ops; }
+  /// Inject the cache-maintenance backend (system::Machine::build gives
+  /// every policy the hierarchy's).
+  void set_ops(CacheOps* ops) { ops_ = ops; }
 
   /// Attach the shared resource-health view (fault injection). Null — the
   /// default — keeps every decision on the original, fault-free path.
