@@ -2,11 +2,11 @@
 """Compare a tdn-bench-* JSON report against a committed baseline.
 
 Usage:
-    check_perf_regression.py --baseline bench/baselines/BENCH_substrate.json \
-        --current BENCH_substrate.json [--tolerance 0.15] [--strict]
+    check_perf_regression.py --baseline bench/baselines/BENCH_obs.json \
+        --current BENCH_obs.json [--tolerance 0.15] [--strict]
 
-Works for any report whose schema starts with ``tdn-bench-`` (substrate,
-obs, ...); baseline and current must carry the same schema.
+Works for any report whose schema starts with ``tdn-bench-`` (obs, ...);
+baseline and current must carry the same schema.
 
 Direction is inferred from the metric name:
   * ``*_per_sec`` / ``*speedup*``  — higher is better

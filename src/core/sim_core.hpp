@@ -16,7 +16,6 @@
 #include "common/types.hpp"
 #include "core/access_stream.hpp"
 #include "mem/page_table.hpp"
-#include "mem/tlb.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/counters.hpp"
 #include "vm/mmu.hpp"

@@ -7,8 +7,9 @@
 namespace tdn::mem {
 
 PageTable::PageTable(PageTableConfig cfg, vm::VmConfig vm)
-    : cfg_(cfg), vm_(vm), rng_(cfg.seed),
-      buddy_(vm.enabled ? vm.fragmentation : 0.0, vm.seed) {
+    : cfg_(cfg), vm_(vm),
+      base_pages_only_(!vm.enabled || vm.thp == vm::ThpPolicy::Never),
+      rng_(cfg.seed), buddy_(vm.enabled ? vm.fragmentation : 0.0, vm.seed) {
   TDN_REQUIRE(is_pow2(cfg_.page_size), "page size must be a power of two");
   TDN_REQUIRE(cfg_.fragmentation >= 0.0 && cfg_.fragmentation <= 1.0,
               "fragmentation must be in [0,1]");
@@ -31,8 +32,8 @@ Addr PageTable::allocate_frame() {
 }
 
 const PageTable::PageMapping* PageTable::find_mapping(Addr vaddr) const {
-  auto it = vm_map_.upper_bound(vaddr);
-  if (it == vm_map_.begin()) return nullptr;
+  auto it = map_.upper_bound(vaddr);
+  if (it == map_.begin()) return nullptr;
   --it;
   const PageMapping& m = it->second;
   return vaddr < m.va_base + m.span ? &m : nullptr;
@@ -49,18 +50,19 @@ bool PageTable::huge_candidate(Addr va_base, Addr span) const {
 }
 
 PageTable::PageMapping PageTable::touch_page(Addr vaddr) {
-  if (!vm_.enabled) {
-    const Addr ps = cfg_.page_size;
-    const Addr vpage = vaddr / ps;
-    auto [it, inserted] = va_to_pa_.try_emplace(vpage, 0);
-    if (inserted) it->second = allocate_frame();
-    return PageMapping{vpage * ps, it->second * ps, ps};
-  }
   if (const PageMapping* m = find_mapping(vaddr)) return *m;
+  const Addr ps = cfg_.page_size;
+  const PageMapping m = vm_.enabled ? allocate_vm_page(vaddr)
+                                    : PageMapping{align_down(vaddr, ps),
+                                                  allocate_frame() * ps, ps};
+  map_.emplace(m.va_base, m);
+  return m;
+}
 
-  // Establish a new mapping: largest policy-eligible page first, falling
-  // back when the aligned VA span conflicts with an existing mapping or the
-  // buddy pool has no contiguous run (fragmentation).
+PageTable::PageMapping PageTable::allocate_vm_page(Addr vaddr) {
+  // Largest policy-eligible page first, falling back when the aligned VA
+  // span conflicts with an existing mapping or the buddy pool has no
+  // contiguous run (fragmentation).
   Addr sizes[3];
   unsigned n = 0;
   if (vm_.use_1g) sizes[n++] = vm::kPage1G;
@@ -73,10 +75,10 @@ PageTable::PageMapping PageTable::touch_page(Addr vaddr) {
       if (!huge_candidate(va_base, span)) continue;
       // A mapping overlapping [va_base, va_base+span) but not covering
       // vaddr forbids the huge page (mappings never nest).
-      auto it = vm_map_.lower_bound(va_base);
+      auto it = map_.lower_bound(va_base);
       const bool conflict =
-          (it != vm_map_.end() && it->first < va_base + span) ||
-          (it != vm_map_.begin() &&
+          (it != map_.end() && it->first < va_base + span) ||
+          (it != map_.begin() &&
            std::prev(it)->second.va_base + std::prev(it)->second.span >
                va_base);
       if (conflict) {
@@ -90,9 +92,7 @@ PageTable::PageMapping PageTable::touch_page(Addr vaddr) {
       ++huge_fallbacks_;
       continue;
     }
-    const PageMapping m{va_base, *frame * vm::kPage4K, span};
-    vm_map_.emplace(va_base, m);
-    return m;
+    return PageMapping{va_base, *frame * vm::kPage4K, span};
   }
   TDN_REQUIRE(false, "4K allocation cannot fail");
   return {};
@@ -104,27 +104,20 @@ Addr PageTable::translate(Addr vaddr) {
 }
 
 bool PageTable::try_translate(Addr vaddr, Addr& paddr) const {
-  if (vm_.enabled) {
-    const PageMapping* m = find_mapping(vaddr);
-    if (m == nullptr) return false;
-    paddr = m->pa_base + (vaddr - m->va_base);
-    return true;
-  }
-  const Addr vpage = vaddr / cfg_.page_size;
-  auto it = va_to_pa_.find(vpage);
-  if (it == va_to_pa_.end()) return false;
-  paddr = it->second * cfg_.page_size + (vaddr & (cfg_.page_size - 1));
+  const PageMapping* m = find_mapping(vaddr);
+  if (m == nullptr) return false;
+  paddr = m->pa_base + (vaddr - m->va_base);
   return true;
 }
 
 Addr PageTable::page_base(Addr vaddr) const {
-  if (vm_.enabled)
+  if (!base_pages_only_)
     if (const PageMapping* m = find_mapping(vaddr)) return m->va_base;
   return align_down(vaddr, cfg_.page_size);
 }
 
 Addr PageTable::page_span(Addr vaddr) const {
-  if (vm_.enabled)
+  if (!base_pages_only_)
     if (const PageMapping* m = find_mapping(vaddr)) return m->span;
   return cfg_.page_size;
 }
@@ -176,7 +169,7 @@ PageTable::RangeTranslation PageTable::translate_range(const AddrRange& vrange) 
 
 std::uint64_t PageTable::pages_of(Addr span) const {
   std::uint64_t n = 0;
-  for (const auto& [base, m] : vm_map_)
+  for (const auto& [base, m] : map_)
     if (m.span == span) ++n;
   return n;
 }

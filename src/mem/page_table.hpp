@@ -1,6 +1,7 @@
-// Page table + physical page allocator.
+// Page table + physical frame allocators.
 //
-// Two allocation models share this interface:
+// One VA->mapping store serves both memory models. They differ only in the
+// frame allocator that backs a first touch:
 //
 //  * Legacy (vm disabled, the default): first-touch 4K pages with PRNG
 //    fragmentation injection — with fragmentation > 0, consecutive virtual
@@ -16,11 +17,16 @@
 //    dependency region at tdnuca_register time via advise_huge()). A 2M
 //    page collapses 512 translate_range iterations into one, which is the
 //    RRT-registration ablation docs/memory.md describes.
+//
+// vm::Mmu's TLB entries carry the physical frame, so the store is read only
+// on TLB misses, by the ISA path's translate_range and by R-NUCA's page
+// flush. A table that can hold only base pages (legacy, or THP never)
+// answers page_base/page_span by alignment, which keeps R-NUCA's
+// per-access classification off the ordered map.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -40,14 +46,24 @@ struct PageTableConfig {
   std::uint64_t seed = 0x7dfca150'9e21b4c3ull;
 };
 
+/// Legacy per-core data TLB geometry: fully associative, true-LRU, as in the
+/// paper's gem5 configuration (64 entries, 1-cycle access). vm::Mmu builds a
+/// single-level vm::TlbHierarchy from it when vm is disabled.
+struct TlbConfig {
+  unsigned entries = 64;
+  Cycle hit_latency = 1;
+  /// Page-walk cost on a TLB miss: an x86 hardware walker with warm
+  /// paging-structure caches resolves most walks in a couple of memory
+  /// accesses.
+  Cycle miss_penalty = 24;
+};
+
 class PageTable {
  public:
   explicit PageTable(PageTableConfig cfg = {}, vm::VmConfig vm = {});
 
   /// Base (smallest) page size. Huge pages are multiples of this.
   Addr page_size() const noexcept { return cfg_.page_size; }
-  bool vm_enabled() const noexcept { return vm_.enabled; }
-  const vm::VmConfig& vm_config() const noexcept { return vm_; }
   /// True when the runtime should issue madvise-like huge-page hints.
   bool vm_madvise() const noexcept {
     return vm_.enabled && vm_.thp == vm::ThpPolicy::Madvise;
@@ -70,9 +86,9 @@ class PageTable {
   /// Translate without allocating; returns false if the page is unmapped.
   bool try_translate(Addr vaddr, Addr& paddr) const;
 
-  /// Base VA of the page covering @p vaddr. For an unmapped vm-mode address
-  /// this falls back to base-page alignment (callers on the demand path
-  /// always translate first, so their pages are mapped).
+  /// Base VA of the page covering @p vaddr. For an unmapped address this
+  /// falls back to base-page alignment (callers on the demand path always
+  /// translate first, so their pages are mapped).
   Addr page_base(Addr vaddr) const;
   /// Size of the page covering @p vaddr (same fallback).
   Addr page_span(Addr vaddr) const;
@@ -94,13 +110,11 @@ class PageTable {
   };
   RangeTranslation translate_range(const AddrRange& vrange);
 
-  std::uint64_t mapped_pages() const noexcept {
-    return vm_.enabled ? vm_map_.size() : va_to_pa_.size();
-  }
+  std::uint64_t mapped_pages() const noexcept { return map_.size(); }
   std::uint64_t frames_used() const noexcept {
     return vm_.enabled ? buddy_.frames_allocated() : next_frame_;
   }
-  /// Currently mapped pages of the given span (vm mode; 0 otherwise).
+  /// Currently mapped pages of the given span.
   std::uint64_t pages_of(Addr span) const;
   /// First touches where a policy-eligible huge page could not be backed
   /// (punctured pool or VA-range conflict) and a smaller size was used.
@@ -140,34 +154,40 @@ class PageTable {
   /// restore, and the continuing lineage performs the same drop so both
   /// re-map identically.
   void ckpt_drop_mappings() {
-    va_to_pa_.clear();
-    vm_map_.clear();
+    map_.clear();
     advised_.clear();
   }
   /// Reset monotonic allocator counters (checkpoint counter folding).
   void ckpt_reset_stats() { huge_fallbacks_ = 0; }
 
  private:
+  /// Legacy allocator: one base frame, with fragmentation injection.
   Addr allocate_frame();
-  /// vm mode: mapping covering @p vaddr, or nullptr.
+  /// vm allocator: the largest policy-eligible page covering @p vaddr that
+  /// the buddy pool can back.
+  PageMapping allocate_vm_page(Addr vaddr);
+  /// Mapping covering @p vaddr, or nullptr.
   const PageMapping* find_mapping(Addr vaddr) const;
   bool huge_candidate(Addr va_base, Addr span) const;
 
   PageTableConfig cfg_;
   vm::VmConfig vm_;
+  /// Only base pages can be mapped (legacy, or vm with THP never).
+  bool base_pages_only_;
 
-  // Legacy-mode state.
-  std::unordered_map<Addr, Addr> va_to_pa_;  // vpage number -> pframe number
+  // Ordered by va_base so coverage lookup is one upper_bound and iteration
+  // order is deterministic.
+  std::map<Addr, PageMapping> map_;
+  std::map<Addr, Addr> advised_;  // merged advice intervals, begin -> end
+
+  // Legacy allocator state.
   std::uint64_t next_frame_ = 0;
   SplitMix64 rng_;
   /// Frames skipped by fragmentation injection, reusable later (keeps the
   /// physical footprint bounded).
   std::vector<std::uint64_t> skipped_frames_;
 
-  // vm-mode state. Ordered by va_base so coverage lookup is one
-  // upper_bound and iteration order is deterministic.
-  std::map<Addr, PageMapping> vm_map_;
-  std::map<Addr, Addr> advised_;  // merged advice intervals, begin -> end
+  // vm allocator state.
   vm::BuddyAllocator buddy_;
   std::uint64_t huge_fallbacks_ = 0;
 };

@@ -12,7 +12,6 @@
 #include "fault/injector.hpp"
 #include "mem/dram.hpp"
 #include "mem/page_table.hpp"
-#include "mem/tlb.hpp"
 #include "noc/network.hpp"
 #include "nuca/rnuca.hpp"
 #include "nuca/tdnuca_policy.hpp"
@@ -48,7 +47,7 @@ struct SystemConfig {
   mem::PageTableConfig page_table{};
   mem::TlbConfig tlb{};
   /// tdn::vm virtual-memory subsystem (docs/memory.md). Disabled by
-  /// default: the legacy flat-TLB/4K path runs bit-identically.
+  /// default: the legacy memory model (flat TLB, first-touch 4K frames).
   vm::VmConfig vm{};
   core::CoreConfig core{};
   runtime::RuntimeConfig runtime{};

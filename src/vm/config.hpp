@@ -1,12 +1,11 @@
 // tdn::vm configuration — the modular virtual-memory subsystem
 // (docs/memory.md).
 //
-// With `enabled = false` (the default) the memory system is the legacy
-// first-touch 4K model: flat per-core TLB, constant miss penalty, PRNG
-// fragmentation injection. Every pre-existing fingerprint reproduces
-// bit-identically. With `enabled = true` the Mmu replaces that path end to
-// end: multi-size pages (4K/2M/1G) from a contiguity-aware buddy allocator,
-// a split-L1 + unified-L2 TLB, and a modeled radix page walk whose loads
+// `enabled` picks the memory model behind vm::Mmu's one translation path.
+// Off (the default) is the legacy model: flat per-core TLB, constant miss
+// penalty, first-touch 4K frames with PRNG fragmentation injection. On:
+// multi-size pages (4K/2M/1G) from a contiguity-aware buddy allocator, a
+// split-L1 + unified-L2 TLB, and a modeled radix page walk whose loads
 // travel the real cache hierarchy, fronted by paging-structure caches.
 #pragma once
 

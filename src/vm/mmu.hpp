@@ -1,16 +1,19 @@
 // Per-core MMU — the single translation front-end the timing core and the
 // runtime's ISA-path translation talk to.
 //
-// Legacy mode (vm.enabled == false, the default): delegates to the flat
-// single-level mem::Tlb + PageTable exactly as before — translate() answers
-// synchronously and consumes the same PRNG/LRU state in the same order, so
-// every pre-vm fingerprint reproduces bit-identically.
-//
-// vm mode: two-level TLB (vm::TlbHierarchy) backed by the hardware page
-// walker (vm::PageWalker) whose PTE loads travel the real cache hierarchy.
-// translate() becomes asynchronous on a TLB miss; charge_translation()
-// keeps the ISA path synchronous by charging a deterministic walk cost
-// while firing the walk's loads in the background.
+// One path serves both memory models. A TlbHierarchy whose entries carry
+// the physical frame answers hits without the page table; a miss maps the
+// page through PageTable::touch_page (a first touch allocates) and fills
+// the TLB. The models differ only in the TLB's geometry, fixed at
+// construction, and in what a miss costs:
+//  * legacy (vm.enabled == false, the default): one `tlb.entries`-entry
+//    array of base pages, and a flat `tlb.miss_penalty`; translate() always
+//    answers synchronously;
+//  * vm: split-L1 + unified-L2 TLB, and a radix walk by vm::PageWalker
+//    whose PTE loads travel the real cache hierarchy; translate() becomes
+//    asynchronous on a miss. charge_translation() keeps the ISA path
+//    synchronous by charging a deterministic walk cost while firing the
+//    walk's loads in the background.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,6 @@
 
 #include "common/types.hpp"
 #include "mem/page_table.hpp"
-#include "mem/tlb.hpp"
 #include "obs/latency_histogram.hpp"
 #include "vm/config.hpp"
 #include "vm/page_walker.hpp"
@@ -44,11 +46,11 @@ class Mmu {
   /// Returns the cycle cost; fills TLB/PSC state as a side effect.
   Cycle charge_translation(Addr vaddr);
 
-  /// TLB shootdown for the page covering @p vaddr.
+  /// TLB shootdown for the page covering @p vaddr (also drops the walker's
+  /// cached PDE, which is empty in legacy mode).
   void invalidate_page(Addr vaddr);
-  void invalidate_all();
-  /// Checkpoint cold-normalization: drop every cached translation — TLBs
-  /// and, in vm mode, the walker's paging-structure caches — WITHOUT
+  /// Checkpoint cold-normalization: drop every cached translation — TLB
+  /// entries and the walker's paging-structure caches — WITHOUT
   /// counting shootdowns. The continuing lineage must end up in the same
   /// state as a freshly restored one, and a restored lineage's TLBs start
   /// empty, so counting here would make the shootdown metric depend on
@@ -57,39 +59,20 @@ class Mmu {
   /// Zero every translation counter (checkpoint counter folding: the caller
   /// accumulates them into a snapshotted baseline first).
   void ckpt_reset_stats() noexcept {
-    tlb_.ckpt_reset_stats();
     tlbs_.reset_stats();
     walker_.reset_stats();
   }
 
-  // --- statistics -------------------------------------------------------
-  std::uint64_t tlb_hits() const noexcept {
-    return vm_.enabled ? tlbs_.hits() : tlb_.hits();
-  }
-  std::uint64_t tlb_misses() const noexcept {
-    return vm_.enabled ? tlbs_.misses() : tlb_.misses();
-  }
-  std::uint64_t tlb_shootdowns() const noexcept {
-    return vm_.enabled ? tlbs_.shootdowns() : tlb_.shootdowns();
-  }
-  std::uint64_t l2_tlb_hits() const noexcept {
-    return vm_.enabled ? tlbs_.l2_hits() : 0;
-  }
-  std::uint64_t walks() const noexcept {
-    return vm_.enabled ? walker_.walks() : 0;
-  }
-  std::uint64_t walk_loads() const noexcept {
-    return vm_.enabled ? walker_.walk_loads() : 0;
-  }
-  Cycle walk_cycles() const noexcept {
-    return vm_.enabled ? walker_.walk_cycles() : 0;
-  }
-  Cycle charge_walk_cycles() const noexcept {
-    return vm_.enabled ? walker_.charge_cycles() : 0;
-  }
-  std::uint64_t psc_hits() const noexcept {
-    return vm_.enabled ? walker_.psc_hits() : 0;
-  }
+  // --- statistics (the L2 and walker counters stay 0 in legacy mode) -----
+  std::uint64_t tlb_hits() const noexcept { return tlbs_.hits(); }
+  std::uint64_t tlb_misses() const noexcept { return tlbs_.misses(); }
+  std::uint64_t tlb_shootdowns() const noexcept { return tlbs_.shootdowns(); }
+  std::uint64_t l2_tlb_hits() const noexcept { return tlbs_.l2_hits(); }
+  std::uint64_t walks() const noexcept { return walker_.walks(); }
+  std::uint64_t walk_loads() const noexcept { return walker_.walk_loads(); }
+  Cycle walk_cycles() const noexcept { return walker_.walk_cycles(); }
+  Cycle charge_walk_cycles() const noexcept { return walker_.charge_cycles(); }
+  std::uint64_t psc_hits() const noexcept { return walker_.psc_hits(); }
 
   /// Observability sinks (null = off): per-translation latency and
   /// per-demand-walk cycles, feeding the tdn-obs-report-v1 translation
@@ -101,16 +84,16 @@ class Mmu {
     obs_walk_ = walk;
   }
 
-  /// Legacy single-level TLB (tests; legacy mode only).
-  mem::Tlb& legacy_tlb() noexcept { return tlb_; }
-  bool vm_enabled() const noexcept { return vm_.enabled; }
-
  private:
+  void observe(Cycle translation_cycles) {
+    if (obs_translation_ != nullptr) obs_translation_->add(translation_cycles);
+  }
+
   mem::PageTable& pt_;
   VmConfig vm_;
-  mem::Tlb tlb_;         // legacy mode
-  TlbHierarchy tlbs_;    // vm mode
-  PageWalker walker_;    // vm mode
+  Cycle miss_penalty_;  // legacy miss cost
+  TlbHierarchy tlbs_;
+  PageWalker walker_;   // vm miss cost
   obs::LatencyHistogram* obs_translation_ = nullptr;
   obs::LatencyHistogram* obs_walk_ = nullptr;
 };

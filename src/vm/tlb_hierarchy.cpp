@@ -1,52 +1,48 @@
 #include "vm/tlb_hierarchy.hpp"
 
+#include "common/require.hpp"
+
 namespace tdn::vm {
 
-std::list<Addr>::iterator TlbArray::find(Addr vaddr) {
+TlbArray::Map::iterator TlbArray::find(Addr vaddr) {
+  if (fixed_span_ != 0) return map_.find(align_down(vaddr, fixed_span_));
   // An entry's key is its va_base; with mixed spans the covering entry (if
   // any) is keyed at one of the three page-size alignments of vaddr.
-  if (fixed_span_ != 0) {
-    auto it = map_.find(align_down(vaddr, fixed_span_));
-    return it != map_.end() ? it->second.first : lru_.end();
-  }
   for (Addr span : {kPage4K, kPage2M, kPage1G}) {
     auto it = map_.find(align_down(vaddr, span));
-    if (it != map_.end() && vaddr < it->first + it->second.second)
-      return it->second.first;
+    if (it != map_.end() && vaddr < it->first + it->second->span) return it;
   }
-  return lru_.end();
+  return map_.end();
 }
 
-bool TlbArray::lookup(Addr vaddr, Addr* base, Addr* span) {
-  auto pos = find(vaddr);
-  if (pos == lru_.end()) return false;
-  if (base != nullptr) *base = *pos;
-  if (span != nullptr) *span = map_.at(*pos).second;
-  lru_.splice(lru_.begin(), lru_, pos);  // promote to MRU
-  return true;
+const TlbEntry* TlbArray::lookup(Addr vaddr) {
+  auto it = find(vaddr);
+  if (it == map_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
+  return &*it->second;
 }
 
-void TlbArray::fill(Addr va_base, Addr span) {
+void TlbArray::fill(Addr va_base, Addr span, Addr pa_base) {
   if (entries_ == 0) return;
   auto it = map_.find(va_base);
   if (it != map_.end()) {
-    it->second.second = span;
-    lru_.splice(lru_.begin(), lru_, it->second.first);
+    *it->second = {va_base, pa_base, span};
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (map_.size() >= entries_) {
-    map_.erase(lru_.back());
+    map_.erase(lru_.back().va_base);
     lru_.pop_back();
   }
-  lru_.push_front(va_base);
-  map_[va_base] = {lru_.begin(), span};
+  lru_.push_front({va_base, pa_base, span});
+  map_.emplace(va_base, lru_.begin());
 }
 
 bool TlbArray::invalidate(Addr vaddr) {
-  auto pos = find(vaddr);
-  if (pos == lru_.end()) return false;
-  map_.erase(*pos);
-  lru_.erase(pos);
+  auto it = find(vaddr);
+  if (it == map_.end()) return false;
+  lru_.erase(it->second);
+  map_.erase(it);
   return true;
 }
 
@@ -56,51 +52,57 @@ void TlbArray::clear() {
 }
 
 TlbHierarchy::TlbHierarchy(const VmConfig& cfg)
-    : cfg_(cfg), l1_4k_(cfg.l1_4k_entries, kPage4K),
-      l1_2m_(cfg.l1_2m_entries, kPage2M), l1_1g_(cfg.l1_1g_entries, kPage1G),
-      l2_(cfg.l2_entries) {}
+    : l2_(cfg.l2_entries), l1_latency_(cfg.l1_latency),
+      l2_latency_(cfg.l2_latency) {
+  l1_.emplace_back(cfg.l1_4k_entries, kPage4K);
+  l1_.emplace_back(cfg.l1_2m_entries, kPage2M);
+  l1_.emplace_back(cfg.l1_1g_entries, kPage1G);
+}
+
+TlbHierarchy::TlbHierarchy(const mem::TlbConfig& cfg, Addr page_size)
+    : l1_latency_(cfg.hit_latency) {
+  TDN_REQUIRE(cfg.entries > 0, "TLB needs at least one entry");
+  l1_.emplace_back(cfg.entries, page_size);
+}
 
 TlbArray& TlbHierarchy::l1_for(Addr span) {
-  if (span >= kPage1G) return l1_1g_;
-  if (span >= kPage2M) return l1_2m_;
-  return l1_4k_;
+  for (auto it = l1_.rbegin(); it != l1_.rend(); ++it)
+    if (span >= it->fixed_span()) return *it;
+  return l1_.front();
 }
 
 TlbHierarchy::Result TlbHierarchy::lookup(Addr vaddr) {
-  if (l1_4k_.lookup(vaddr) || l1_2m_.lookup(vaddr) || l1_1g_.lookup(vaddr)) {
-    ++l1_hits_;
-    return {true, cfg_.l1_latency};
+  for (TlbArray& a : l1_) {
+    if (const TlbEntry* e = a.lookup(vaddr)) {
+      ++l1_hits_;
+      return {true, l1_latency_, e->pa_base + (vaddr - e->va_base)};
+    }
   }
-  Addr base = 0;
-  Addr span = 0;
-  if (l2_.lookup(vaddr, &base, &span)) {
+  const Cycle probe = l1_latency_ + l2_latency_;
+  if (const TlbEntry* e = l2_.lookup(vaddr)) {
     ++l2_hits_;
     // Refill the size-appropriate L1 array so the next access hits fast.
-    l1_for(span).fill(base, span);
-    return {true, cfg_.l1_latency + cfg_.l2_latency};
+    l1_for(e->span).fill(e->va_base, e->span, e->pa_base);
+    return {true, probe, e->pa_base + (vaddr - e->va_base)};
   }
   ++misses_;
-  return {false, cfg_.l1_latency + cfg_.l2_latency};
+  return {false, probe, 0};
 }
 
-void TlbHierarchy::fill(Addr va_base, Addr span) {
-  l2_.fill(va_base, span);
-  l1_for(span).fill(va_base, span);
+void TlbHierarchy::fill(Addr va_base, Addr span, Addr pa_base) {
+  l2_.fill(va_base, span, pa_base);
+  l1_for(span).fill(va_base, span, pa_base);
 }
 
 void TlbHierarchy::invalidate_page(Addr vaddr) {
-  bool any = l1_4k_.invalidate(vaddr);
-  any = l1_2m_.invalidate(vaddr) || any;
-  any = l1_1g_.invalidate(vaddr) || any;
+  bool any = false;
+  for (TlbArray& a : l1_) any = a.invalidate(vaddr) || any;
   any = l2_.invalidate(vaddr) || any;
   if (any) ++shootdowns_;
 }
 
-void TlbHierarchy::invalidate_all() {
-  shootdowns_ += l2_.size();
-  l1_4k_.clear();
-  l1_2m_.clear();
-  l1_1g_.clear();
+void TlbHierarchy::ckpt_cold_reset() {
+  for (TlbArray& a : l1_) a.clear();
   l2_.clear();
 }
 

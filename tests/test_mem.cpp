@@ -5,7 +5,9 @@
 #include "mem/address_space.hpp"
 #include "mem/dram.hpp"
 #include "mem/page_table.hpp"
-#include "mem/tlb.hpp"
+#include "sim/event_queue.hpp"
+#include "vm/mmu.hpp"
+#include "vm/tlb_hierarchy.hpp"
 
 using namespace tdn;
 using namespace tdn::mem;
@@ -154,30 +156,42 @@ TEST(PageTable, PiecesTileRangeProperty) {
 }
 
 TEST(Tlb, HitAfterMiss) {
-  Tlb tlb({.entries = 4, .hit_latency = 1, .miss_penalty = 20}, 4096);
-  EXPECT_EQ(tlb.access(0x1000), 21u);  // miss
-  EXPECT_EQ(tlb.access(0x1004), 1u);   // hit, same page
-  EXPECT_EQ(tlb.hits(), 1u);
-  EXPECT_EQ(tlb.misses(), 1u);
+  sim::EventQueue eq;
+  PageTable pt;
+  vm::Mmu mmu(0, eq, nullptr, pt,
+              {.entries = 4, .hit_latency = 1, .miss_penalty = 20}, {});
+  const auto latency = [&mmu](Addr va) {
+    Cycle lat = kNeverCycle;
+    mmu.translate(va, [&lat](Cycle c, Addr) { lat = c; });  // synchronous
+    return lat;
+  };
+  EXPECT_EQ(latency(0x1000), 21u);  // miss
+  EXPECT_EQ(latency(0x1004), 1u);   // hit, same page
+  EXPECT_EQ(mmu.tlb_hits(), 1u);
+  EXPECT_EQ(mmu.tlb_misses(), 1u);
 }
 
 TEST(Tlb, LruEviction) {
-  Tlb tlb({.entries = 2, .hit_latency = 1, .miss_penalty = 20}, 4096);
-  tlb.access(0x1000);
-  tlb.access(0x2000);
-  tlb.access(0x1000);  // touch page 1 -> page 2 is LRU
-  tlb.access(0x3000);  // evicts page 2
-  EXPECT_TRUE(tlb.contains(0x1000));
-  EXPECT_FALSE(tlb.contains(0x2000));
-  EXPECT_TRUE(tlb.contains(0x3000));
+  vm::TlbHierarchy tlb({.entries = 2, .hit_latency = 1, .miss_penalty = 20},
+                       4096);
+  const auto access = [&tlb](Addr va) {
+    if (!tlb.lookup(va).hit) tlb.fill(align_down(va, 4096), 4096);
+  };
+  access(0x1000);
+  access(0x2000);
+  access(0x1000);  // touch page 1 -> page 2 is LRU
+  access(0x3000);  // evicts page 2
+  EXPECT_TRUE(tlb.lookup(0x1000).hit);
+  EXPECT_FALSE(tlb.lookup(0x2000).hit);
+  EXPECT_TRUE(tlb.lookup(0x3000).hit);
 }
 
 TEST(Tlb, Shootdown) {
-  Tlb tlb({}, 4096);
-  tlb.access(0x5000);
-  EXPECT_TRUE(tlb.contains(0x5000));
+  vm::TlbHierarchy tlb(TlbConfig{}, 4096);
+  tlb.fill(0x5000, 4096);
+  EXPECT_TRUE(tlb.lookup(0x5000).hit);
   tlb.invalidate_page(0x5008);
-  EXPECT_FALSE(tlb.contains(0x5000));
+  EXPECT_FALSE(tlb.lookup(0x5000).hit);
   EXPECT_EQ(tlb.shootdowns(), 1u);
   tlb.invalidate_page(0x5000);  // absent: no-op
   EXPECT_EQ(tlb.shootdowns(), 1u);

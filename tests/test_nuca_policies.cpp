@@ -148,8 +148,10 @@ TEST(RNuca, TlbShootdownOnReclassification) {
   mmu0.charge_translation(0x10000000);
   rig.p.on_access(0, 0x10000000, AccessKind::Read);
   rig.p.on_access(1, 0x10000000, AccessKind::Read);
-  // Previous owner shot down.
-  EXPECT_FALSE(mmu0.legacy_tlb().contains(0x10000000));
+  // Previous owner shot down: its next translation of the page misses.
+  const std::uint64_t misses = mmu0.tlb_misses();
+  mmu0.charge_translation(0x10000000);
+  EXPECT_EQ(mmu0.tlb_misses(), misses + 1);
   EXPECT_EQ(mmu0.tlb_shootdowns(), 1u);
 }
 

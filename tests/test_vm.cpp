@@ -1,14 +1,17 @@
 // Unit tests for the tdn::vm subsystem: buddy allocator (contiguity,
 // puncturing, serialization), multi-size page table (THP policies, huge
 // fallbacks, range collapse), two-level TLB, page walker + paging-structure
-// caches, the Mmu facade's legacy parity, and the end-to-end huge-page
-// registration collapse.
+// caches, the Mmu facade (legacy parity, frame-carrying TLB entries, 1G
+// pages), and the end-to-end huge-page registration collapse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+
 #include "coherence/coherent_system.hpp"
+#include "common/prng.hpp"
 #include "harness/runner.hpp"
 #include "mem/page_table.hpp"
-#include "mem/tlb.hpp"
 #include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "nuca/snuca.hpp"
@@ -39,6 +42,32 @@ struct CacheRig {
   mem::MemControllers mcs{1, {0}, {}};
   nuca::SNucaPolicy policy{4};
   coherence::CoherentSystem sys{eq, net, mesh, mcs, policy, {}, 4};
+};
+
+/// Independent reference for the legacy TLB: true LRU over page numbers,
+/// flat miss penalty.
+struct FlatLruTlb {
+  FlatLruTlb(mem::TlbConfig c, Addr ps) : cfg(c), page_size(ps) {}
+
+  mem::TlbConfig cfg;
+  Addr page_size;
+  std::list<Addr> lru;  // front = most recent
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  Cycle access(Addr vaddr) {
+    const Addr page = vaddr / page_size;
+    auto it = std::find(lru.begin(), lru.end(), page);
+    if (it != lru.end()) {
+      ++hits;
+      lru.splice(lru.begin(), lru, it);
+      return cfg.hit_latency;
+    }
+    ++misses;
+    if (lru.size() >= cfg.entries) lru.pop_back();
+    lru.push_front(page);
+    return cfg.hit_latency + cfg.miss_penalty;
+  }
 };
 
 }  // namespace
@@ -252,9 +281,10 @@ TEST(VmMmu, LegacyModeMatchesFlatTlb) {
   sim::EventQueue eq;
   mem::PageTable pt_mmu, pt_ref;
   mem::TlbConfig tcfg;
+  tcfg.entries = 2;  // small enough that the sequence below evicts
   Mmu mmu(0, eq, nullptr, pt_mmu, tcfg, {});
-  mem::Tlb ref(tcfg, pt_ref.page_size());
-  const Addr vas[] = {0x1000, 0x2000, 0x1008, 0x90000, 0x1010};
+  FlatLruTlb ref(tcfg, pt_ref.page_size());
+  const Addr vas[] = {0x1000, 0x2000, 0x1008, 0x90000, 0x1010, 0x2010};
   for (const Addr va : vas) {
     Cycle got = kNeverCycle;
     Addr pa = 0;
@@ -266,8 +296,8 @@ TEST(VmMmu, LegacyModeMatchesFlatTlb) {
     EXPECT_EQ(pa, pt_ref.translate(va));
     EXPECT_EQ(mmu.charge_translation(va), ref.access(va));
   }
-  EXPECT_EQ(mmu.tlb_hits(), ref.hits());
-  EXPECT_EQ(mmu.tlb_misses(), ref.misses());
+  EXPECT_EQ(mmu.tlb_hits(), ref.hits);
+  EXPECT_EQ(mmu.tlb_misses(), ref.misses);
 }
 
 TEST(VmMmu, VmModeMissWalksThenHits) {
@@ -286,6 +316,109 @@ TEST(VmMmu, VmModeMissWalksThenHits) {
   mmu.translate(0x40000000 + 0x5000, [&](Cycle c, Addr) { hit_lat = c; });
   EXPECT_EQ(hit_lat, vm_on().l1_latency);
   EXPECT_EQ(mmu.tlb_hits(), 1u);
+}
+
+TEST(VmMmu, TlbHitsReturnThePageTableFrame) {
+  // A TLB entry carries its frame, so a cached frame must never go stale:
+  // every translation equals the page table's, across evictions, L2
+  // refills, shootdowns and a checkpoint cold reset that re-maps pages.
+  mem::PageTableConfig fragmented;
+  fragmented.fragmentation = 0.5;  // neighbouring frames not contiguous
+  const struct {
+    const char* name;
+    mem::PageTableConfig pt;
+    VmConfig vm;
+  } models[] = {{"legacy", fragmented, VmConfig{}},
+                {"vm-never", {}, vm_on(ThpPolicy::Never)},
+                {"vm-always", {}, vm_on(ThpPolicy::Always)}};
+  constexpr Addr kBase = 0x40000000;
+  for (const auto& model : models) {
+    SCOPED_TRACE(model.name);
+    CacheRig rig;
+    mem::PageTable pt(model.pt, model.vm);
+    Mmu mmu(0, rig.eq, &rig.sys, pt, {}, model.vm);
+    const auto translate = [&](Addr va) {
+      Addr pa = 0;
+      bool done = false;
+      mmu.translate(va, [&](Cycle, Addr p) {
+        pa = p;
+        done = true;
+      });
+      rig.eq.run();  // a vm-mode miss completes after its walk
+      EXPECT_TRUE(done);
+      Addr expect = 0;
+      EXPECT_TRUE(pt.try_translate(va, expect));
+      EXPECT_EQ(pa, expect) << std::hex << va;
+      return pa;
+    };
+    // 320 base pages spread over 16 huge-page spans, so THP always maps
+    // several 2M pages.
+    SplitMix64 rng(17);
+    std::vector<Addr> vas;
+    for (unsigned i = 0; i < 2000; ++i) {
+      const Addr page = rng.next_below(320);
+      const Addr va = kBase + (page % 16) * kPage2M + (page / 16) * kPage4K +
+                      rng.next_below(kPage4K);
+      switch (rng.next_below(8)) {
+        case 0:
+          mmu.invalidate_page(va);
+          break;
+        case 1:
+          mmu.charge_translation(va);
+          rig.eq.run();
+          break;
+        default:
+          translate(va);
+          vas.push_back(va);
+      }
+    }
+    EXPECT_GT(mmu.tlb_hits(), 0u);
+    EXPECT_GT(mmu.tlb_shootdowns(), 0u);
+
+    // Checkpoint cold normalization, as Machine::cold_normalize does it:
+    // fresh mappings from the continuing allocator, so every frame moves.
+    std::vector<Addr> before;
+    for (const Addr va : vas) before.push_back(translate(va));
+    mmu.ckpt_cold_reset();
+    pt.ckpt_drop_mappings();
+    for (std::size_t i = 0; i < vas.size(); ++i)
+      EXPECT_NE(translate(vas[i]), before[i]) << std::hex << vas[i];
+  }
+}
+
+TEST(VmMmu, OneGigabytePages) {
+  CacheRig rig;
+  VmConfig cfg = vm_on(ThpPolicy::Always);
+  cfg.use_1g = true;
+  mem::PageTable pt({}, cfg);
+  Mmu mmu(0, rig.eq, &rig.sys, pt, {}, cfg);
+  Cycle lat = kNeverCycle;
+  Addr pa = 0;
+  const auto translate = [&](Addr va) {
+    lat = kNeverCycle;
+    mmu.translate(va, [&](Cycle c, Addr p) {
+      lat = c;
+      pa = p;
+    });
+    rig.eq.run();
+  };
+  const Addr base = 4 * kPage1G;
+  const Addr va = base + 768 * kMiB;
+  translate(va);  // first touch of the 1G-aligned region
+  EXPECT_EQ(pt.pages_of(kPage1G), 1u);
+  EXPECT_EQ(pt.mapped_pages(), 1u);
+  const mem::PageTable::PageMapping m = pt.touch_page(base);
+  EXPECT_EQ(m.va_base, base);
+  EXPECT_EQ(m.span, kPage1G);
+  EXPECT_EQ(pa, m.pa_base + 768 * kMiB);
+  translate(va);  // repeat: L1 hit in the 1G array
+  EXPECT_EQ(lat, cfg.l1_latency);
+  EXPECT_EQ(pa, m.pa_base + 768 * kMiB);
+  // A cold walk to a 1G leaf loads the PML4E and the PDPTE only.
+  PageWalker w(0, rig.eq, &rig.sys, cfg);
+  EXPECT_EQ(w.charge_walk(base, kPage1G),
+            cfg.psc_latency + 2 * cfg.walk_charge_per_level);
+  rig.eq.run();
 }
 
 // --- end to end ------------------------------------------------------------
