@@ -1,33 +1,26 @@
 #include "cache/mshr.hpp"
 
-#include "common/require.hpp"
-
 namespace tdn::cache {
 
-MshrFile::Outcome MshrFile::register_miss(Addr line_addr,
-                                          std::function<void()>&& on_fill) {
-  auto it = entries_.find(line_addr);
-  if (it != entries_.end()) {
-    it->second.push_back(std::move(on_fill));
+MshrFile::Outcome MshrFile::register_miss(Addr line_addr, Callback&& on_fill) {
+  TDN_ASSERT(line_addr != kFree);
+  std::size_t i = find(line_addr);
+  if (i != kNone) {
+    waiters_[i].push_back(std::move(on_fill));
     merges_.inc();
     return Outcome::Merged;
   }
   // Capacity is checked before consuming on_fill: on Full the callback must
   // remain with the caller (see the header contract) so it can be retried.
-  if (entries_.size() >= capacity_) {
+  if (outstanding_ >= capacity_) {
     full_.inc();
     return Outcome::Full;
   }
-  entries_[line_addr].push_back(std::move(on_fill));
+  i = find(kFree);
+  waiters_[i].push_back(std::move(on_fill));
+  lines_[i] = line_addr;
+  ++outstanding_;
   return Outcome::NewEntry;
-}
-
-std::vector<std::function<void()>> MshrFile::complete(Addr line_addr) {
-  auto it = entries_.find(line_addr);
-  TDN_REQUIRE(it != entries_.end(), "completing a miss that is not in flight");
-  auto cbs = std::move(it->second);
-  entries_.erase(it);
-  return cbs;
 }
 
 }  // namespace tdn::cache

@@ -154,34 +154,38 @@ void CoherentSystem::start_miss(CoreId core, Addr vaddr, Addr line,
   }
   // Retrying through the full access path replays the reference once the
   // fill lands; the line is then (normally) an L1 hit.
-  auto retry = [this, core, vaddr, line, kind, issued_at,
-                done = std::move(done)]() mutable {
-    // Note: `line` recomputes identically as paddr (it is line-aligned).
-    // The replay is the same demand access: it must not re-count stats.
-    if (attr_ != nullptr) attr_->on_complete(core, line, issued_at, eq_.now());
-    stats_.miss_latency.add(static_cast<double>(eq_.now() - issued_at));
-    access_internal(core, vaddr, line, kind, std::move(done),
-                    /*replay=*/true);
-  };
-  register_miss_or_retry(core, vaddr, line, kind, issued_at, std::move(retry));
+  register_miss_or_retry(
+      core, vaddr, line, kind, issued_at,
+      [this, core, vaddr, line, kind, issued_at,
+       done = std::move(done)]() mutable {
+        // Note: `line` recomputes identically as paddr (it is line-aligned).
+        // The replay is the same demand access: it must not re-count stats.
+        if (attr_ != nullptr)
+          attr_->on_complete(core, line, issued_at, eq_.now());
+        stats_.miss_latency.add(static_cast<double>(eq_.now() - issued_at));
+        access_internal(core, vaddr, line, kind, std::move(done),
+                        /*replay=*/true);
+      });
 }
 
-void CoherentSystem::register_miss_or_retry(CoreId core, Addr vaddr, Addr line,
-                                            AccessKind kind, Cycle issued_at,
-                                            std::function<void()> on_fill) {
+void CoherentSystem::register_miss_or_retry(
+    CoreId core, Addr vaddr, Addr line, AccessKind kind, Cycle issued_at,
+    cache::MshrFile::Callback&& on_fill) {
   const auto outcome = l1s_[core].mshr.register_miss(line, std::move(on_fill));
   if (outcome == cache::MshrFile::Outcome::Full) {
     // The pre-check in start_miss normally backs off before registration can
     // fail, but a Full outcome must never lose the fill callback: MshrFile
     // guarantees on_fill is left intact on Full, so re-queue it until a
-    // register slot frees up.
+    // register slot frees up. The callback does not fit inline beside the
+    // retry's other captures; box it on this rare path.
     stats_.mshr_stalls.inc();
-    eq_.schedule_in(cfg_.mshr_retry_delay,
-                    [this, core, vaddr, line, kind, issued_at,
-                     cb = std::move(on_fill)]() mutable {
-                      register_miss_or_retry(core, vaddr, line, kind,
-                                             issued_at, std::move(cb));
-                    });
+    eq_.schedule_in(
+        cfg_.mshr_retry_delay,
+        [this, core, vaddr, line, kind, issued_at,
+         cb = std::make_unique<cache::MshrFile::Callback>(std::move(on_fill))] {
+          register_miss_or_retry(core, vaddr, line, kind, issued_at,
+                                 std::move(*cb));
+        });
     return;
   }
   if (outcome == cache::MshrFile::Outcome::NewEntry) {
@@ -280,12 +284,11 @@ void CoherentSystem::bank_request(BankId bank, CoreId requester, Addr line,
       else bank_respond_write(bank, requester, line);
     });
   };
-  auto it = b.blocked.find(line);
-  if (it != b.blocked.end()) {
-    it->second.push_back(std::move(process));  // blocking directory
+  if (OpenLine* o = find_open(b, line)) {
+    wait_on(*o, std::move(process));  // blocking directory
     return;
   }
-  b.blocked.emplace(line, std::deque<sim::Action>{});
+  b.open.push_back(OpenLine{line});
   process();
 }
 
@@ -349,42 +352,20 @@ void CoherentSystem::bank_respond_write(BankId bank, CoreId requester,
   meta.owner = requester;
   meta.sharers = CoreMask::none();
 
-  auto grant = [this, bank, requester, line] {
-    // Upgrade if the requester still holds the line in S; otherwise a fresh
-    // fill. An upgrade grant carries no data.
-    auto* rl = l1s_[requester].array.find(line);
-    const MsgClass cls = rl != nullptr ? MsgClass::Control : MsgClass::Data;
-    net_.send(bank, requester, cls, [this, bank, requester, line] {
-      auto* rl2 = l1s_[requester].array.find(line);
-      if (rl2 != nullptr) {
-        rl2->meta.state = L1Meta::State::M;
-        rl2->meta.dirty = true;
-        l1s_[requester].array.touch(line);
-        // Replay any merged misses waiting on this line.
-        if (l1s_[requester].mshr.in_flight(line)) {
-          for (auto& cb : l1s_[requester].mshr.complete(line))
-            eq_.schedule_in(0, std::move(cb));
-        }
-      } else {
-        l1_fill(requester, line, L1Meta{L1Meta::State::M, true, bank});
-      }
-      bank_unblock(bank, line);
-    });
-  };
-
   if (targets.empty()) {
-    grant();
+    bank_grant_write(bank, requester, line);
     return;
   }
-  auto join = sim::make_joiner(std::move(grant));
+  // The line stays open until the grant lands, so its record counts the
+  // acks; the last one to arrive sends the grant.
+  find_open(banks_[bank], line)->acks = static_cast<unsigned>(targets.count());
   targets.for_each([&](CoreId t) {
-    join->add();
     stats_.invalidations_sent.inc();
-    net_.send(bank, t, MsgClass::Control, [this, bank, t, line, join] {
+    net_.send(bank, t, MsgClass::Control, [this, bank, t, requester, line] {
       const bool dirty = l1_invalidate(t, line, /*writeback_to_memory=*/false);
       // Ack (with data if the copy was dirty) back to the bank.
       const MsgClass cls = dirty ? MsgClass::Data : MsgClass::Control;
-      net_.send(t, bank, cls, [this, bank, line, dirty, join] {
+      net_.send(t, bank, cls, [this, bank, requester, line, dirty] {
         if (dirty) {
           if (health_ != nullptr && !health_->bank_ok(bank)) {
             ++health_->counters.dead_bank_writebacks;
@@ -393,11 +374,33 @@ void CoherentSystem::bank_respond_write(BankId bank, CoreId requester,
             l->meta.dirty = true;
           }
         }
-        join->complete();
+        OpenLine* o = find_open(banks_[bank], line);
+        TDN_ASSERT(o != nullptr && o->acks > 0);
+        if (--o->acks == 0) bank_grant_write(bank, requester, line);
       });
     });
   });
-  join->arm();
+}
+
+void CoherentSystem::bank_grant_write(BankId bank, CoreId requester,
+                                      Addr line) {
+  // Upgrade if the requester still holds the line in S; otherwise a fresh
+  // fill. An upgrade grant carries no data.
+  auto* rl = l1s_[requester].array.find(line);
+  const MsgClass cls = rl != nullptr ? MsgClass::Control : MsgClass::Data;
+  net_.send(bank, requester, cls, [this, bank, requester, line] {
+    auto* rl2 = l1s_[requester].array.find(line);
+    if (rl2 != nullptr) {
+      rl2->meta.state = L1Meta::State::M;
+      rl2->meta.dirty = true;
+      l1s_[requester].array.touch(line);
+      // Replay any merged misses waiting on this line.
+      if (l1s_[requester].mshr.in_flight(line)) replay_mshr(requester, line);
+    } else {
+      l1_fill(requester, line, L1Meta{L1Meta::State::M, true, bank});
+    }
+    bank_unblock(bank, line);
+  });
 }
 
 void CoherentSystem::bank_fetch_from_memory(BankId bank, CoreId requester,
@@ -427,7 +430,7 @@ void CoherentSystem::bank_fetch_from_memory(BankId bank, CoreId requester,
 void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
   Bank& b = banks_[bank];
   std::optional<cache::CacheArray<LlcMeta>::Eviction> evicted;
-  auto busy = [&b](Addr a) { return b.blocked.count(a) != 0; };
+  auto busy = [&b](Addr a) { return find_open(b, a) != nullptr; };
   const WayRange wq = way_quota(requester);
   auto& ln = b.array.allocate(line, evicted, busy, wq.first, wq.count);
   if (view_.num_apps > 0) ln.meta.app = app_of(requester);
@@ -448,17 +451,43 @@ void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
   if (vm.dirty) memory_writeback(bank, va);
 }
 
+void CoherentSystem::wait_on(OpenLine& o, sim::Action&& fn) {
+  if (free_waiters_ == nullptr) {
+    constexpr std::size_t kChunk = 64;
+    waiter_chunks_.push_back(std::make_unique<Waiter[]>(kChunk));
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      Waiter& w = waiter_chunks_.back()[i];
+      w.next = free_waiters_;
+      free_waiters_ = &w;
+    }
+  }
+  Waiter* w = free_waiters_;
+  free_waiters_ = w->next;
+  w->fn = std::move(fn);
+  w->next = nullptr;
+  if (o.tail == nullptr) {
+    o.head = w;
+  } else {
+    o.tail->next = w;
+  }
+  o.tail = w;
+}
+
 void CoherentSystem::bank_unblock(BankId bank, Addr line) {
   Bank& b = banks_[bank];
-  auto it = b.blocked.find(line);
-  TDN_ASSERT(it != b.blocked.end());
-  if (it->second.empty()) {
-    b.blocked.erase(it);
+  OpenLine* o = find_open(b, line);
+  TDN_ASSERT(o != nullptr);
+  Waiter* w = o->head;
+  if (w == nullptr) {
+    *o = b.open.back();  // close the line
+    b.open.pop_back();
     return;
   }
-  auto next = std::move(it->second.front());
-  it->second.pop_front();
-  eq_.schedule_in(0, std::move(next));  // line stays blocked for `next`
+  o->head = w->next;
+  if (o->head == nullptr) o->tail = nullptr;
+  eq_.schedule_in(0, std::move(w->fn));  // line stays blocked for `fn`
+  w->next = free_waiters_;
+  free_waiters_ = w;
 }
 
 void CoherentSystem::bank_writeback(BankId bank, CoreId from, Addr line) {
@@ -504,9 +533,9 @@ void CoherentSystem::evacuate_bank(BankId bank) {
   Bank& b = banks_[bank];
   const AddrRange all{0, ~Addr{0}};
   b.array.for_each_in_range(all, [&](Addr la, LlcMeta& m) {
-    if (b.blocked.count(la) != 0) {
+    if (OpenLine* o = find_open(b, la)) {
       // A transaction is in flight on this line; evacuate once it settles.
-      b.blocked[la].push_back([this, bank, la] {
+      wait_on(*o, [this, bank, la] {
         if (auto* ln = banks_[bank].array.find(la)) {
           evacuate_line(bank, la, ln->meta);
           banks_[bank].array.invalidate(la);
@@ -552,9 +581,13 @@ void CoherentSystem::l1_fill(CoreId core, Addr line, L1Meta meta) {
     ln.meta = meta;
     if (evicted) l1_evict_victim(core, evicted->addr, evicted->meta);
   }
-  if (l1.mshr.in_flight(line)) {
-    for (auto& cb : l1.mshr.complete(line)) eq_.schedule_in(0, std::move(cb));
-  }
+  if (l1.mshr.in_flight(line)) replay_mshr(core, line);
+}
+
+void CoherentSystem::replay_mshr(CoreId core, Addr line) {
+  l1s_[core].mshr.complete(line, [this](cache::MshrFile::Callback& cb) {
+    eq_.schedule_in(0, std::move(cb));
+  });
 }
 
 void CoherentSystem::l1_evict_victim(CoreId core, Addr line,
@@ -705,11 +738,11 @@ void CoherentSystem::flush_llc_range(BankMask banks, const AddrRange& prange,
     Bank& b = banks_[bank];
     std::uint64_t wb_index = 0;
     b.array.for_each_in_range(prange, [&](Addr la, LlcMeta& m) {
-      if (b.blocked.count(la) != 0) {
+      if (OpenLine* o = find_open(b, la)) {
         // A transaction is in flight on this line: defer this line's flush
         // until it completes, then finish it out-of-band.
         join->add();
-        b.blocked[la].push_back([this, bank, la, join] {
+        wait_on(*o, [this, bank, la, join] {
           if (auto* ln = banks_[bank].array.find(la)) {
             flush_llc_line_now(bank, la, ln->meta, join, 0);
             banks_[bank].array.invalidate(la);

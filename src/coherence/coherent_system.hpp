@@ -21,10 +21,8 @@
 // lookup.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hpp"
@@ -162,7 +160,7 @@ class CoherentSystem final : public nuca::CacheOps {
   }
   /// Lines with an open (blocking-directory) transaction at @p bank.
   std::uint64_t bank_blocked_lines(BankId bank) const {
-    return banks_.at(bank).blocked.size();
+    return banks_.at(bank).open.size();
   }
 
   unsigned num_cores() const noexcept { return num_cores_; }
@@ -227,7 +225,7 @@ class CoherentSystem final : public nuca::CacheOps {
       l1.flush_busy = 0;
     }
     for (auto& bank : banks_) {
-      TDN_REQUIRE(bank.blocked.empty(),
+      TDN_REQUIRE(bank.open.empty(),
                   "ckpt_cold_reset: blocked directory lines still live");
       bank.array.reset_all();
       bank.next_free = 0;
@@ -247,6 +245,20 @@ class CoherentSystem final : public nuca::CacheOps {
   }
 
  private:
+  /// An action queued behind an open line (a blocked request, a deferred
+  /// flush or evacuation). Nodes are pooled: queueing one allocates only
+  /// when the pool grows.
+  struct Waiter {
+    sim::Action fn;
+    Waiter* next = nullptr;
+  };
+  /// A line with an in-flight transaction at its bank (blocking directory).
+  struct OpenLine {
+    Addr line = 0;
+    unsigned acks = 0;  ///< GetX invalidation acks still outstanding
+    Waiter* head = nullptr;  ///< FIFO replayed one by one as each completes
+    Waiter* tail = nullptr;
+  };
   struct L1 {
     explicit L1(const HierarchyConfig& cfg)
         : array(cfg.l1), mshr(cfg.l1_mshrs) {}
@@ -261,13 +273,19 @@ class CoherentSystem final : public nuca::CacheOps {
     Cycle next_free = 0;
     std::uint64_t cross_app_conflicts = 0;  ///< see bank_cross_app_conflicts
     std::uint8_t last_app = 0xff;  ///< app of the last accepted request
-    /// Blocking directory: blocked[line] holds actions to replay once the
-    /// in-flight transaction on that line completes. Inline callables: a
-    /// queued request costs no allocation (see sim/inline_function.hpp).
-    std::unordered_map<Addr, std::deque<sim::Action>> blocked;
+    /// Blocking directory: the lines with an in-flight transaction. Few
+    /// are open at once, so lookup is a scan.
+    std::vector<OpenLine> open;
   };
 
   Addr line_of(Addr a) const { return align_down(a, cfg_.l1.line_size); }
+  static OpenLine* find_open(Bank& b, Addr line) {
+    for (OpenLine& o : b.open)
+      if (o.line == line) return &o;
+    return nullptr;
+  }
+  /// Queue @p fn behind the in-flight transaction on @p o's line.
+  void wait_on(OpenLine& o, sim::Action&& fn);
 
   void access_internal(CoreId core, Addr vaddr, Addr paddr, AccessKind kind,
                        std::function<void(Cycle)> done, bool replay);
@@ -279,7 +297,10 @@ class CoherentSystem final : public nuca::CacheOps {
   /// Outcome::Full, and this helper re-queues it until it registers.
   void register_miss_or_retry(CoreId core, Addr vaddr, Addr line,
                               AccessKind kind, Cycle issued_at,
-                              std::function<void()> on_fill);
+                              cache::MshrFile::Callback&& on_fill);
+  /// Hand the callbacks waiting on @p line in @p core's MSHR file to the
+  /// queue, in registration order, and free the entry.
+  void replay_mshr(CoreId core, Addr line);
   void launch_transaction(CoreId core, Addr vaddr, Addr line, AccessKind kind,
                           Cycle issued_at);
   /// Home bank for page-table lines (vaddr >= kKernelBase): static
@@ -289,6 +310,8 @@ class CoherentSystem final : public nuca::CacheOps {
   void bank_request(BankId bank, CoreId requester, Addr line, AccessKind kind);
   void bank_respond_read(BankId bank, CoreId requester, Addr line);
   void bank_respond_write(BankId bank, CoreId requester, Addr line);
+  /// Grant M to @p requester once every invalidation ack is in.
+  void bank_grant_write(BankId bank, CoreId requester, Addr line);
   void bank_fetch_from_memory(BankId bank, CoreId requester, Addr line,
                               AccessKind kind);
   void bank_install(BankId bank, CoreId requester, Addr line);
@@ -336,6 +359,8 @@ class CoherentSystem final : public nuca::CacheOps {
 
   std::vector<L1> l1s_;
   std::vector<Bank> banks_;
+  std::vector<std::unique_ptr<Waiter[]>> waiter_chunks_;  ///< Waiter pool
+  Waiter* free_waiters_ = nullptr;
   Stats stats_;
   AppView view_;
   std::vector<AppCounters> app_counters_;

@@ -36,9 +36,10 @@ void SimCore::step() {
     finish_if_drained();
     return;
   }
-  // Translation: synchronous in legacy mode (flat TLB); on a vm-mode TLB
-  // miss the continuation fires when the page walk's PTE loads return from
-  // the hierarchy — the core is stalled on translation until then.
+  // Translation: on a TLB hit and in legacy mode the continuation runs in
+  // place and nothing is allocated; on a vm-mode TLB miss it fires when the
+  // page walk's PTE loads return from the hierarchy — the core is stalled on
+  // translation until then.
   mmu_.translate(op.vaddr, [this, op](Cycle tlb_lat, Addr paddr) {
     const Cycle issue_at = eq_.now() + op.compute + tlb_lat;
     // Ideal-timeline accounting (obs critical path): the cycles this op
@@ -88,9 +89,7 @@ void SimCore::issue_load(const AccessOp& op, Addr paddr) {
     --loads_in_flight_;
     if (stalled_on_load_window_) {
       stalled_on_load_window_ = false;
-      auto resume = std::move(resume_load_);
-      resume_load_ = nullptr;
-      eq_.schedule_in(0, std::move(resume));
+      eq_.schedule_in(0, std::move(resume_load_));
     } else {
       finish_if_drained();
     }
@@ -107,9 +106,7 @@ void SimCore::issue_store(const AccessOp& op, Addr paddr) {
     --stores_in_flight_;
     if (stalled_on_store_buffer_) {
       stalled_on_store_buffer_ = false;
-      auto resume = std::move(resume_store_);
-      resume_store_ = nullptr;
-      eq_.schedule_in(0, std::move(resume));
+      eq_.schedule_in(0, std::move(resume_store_));
     } else {
       finish_if_drained();
     }

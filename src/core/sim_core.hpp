@@ -106,8 +106,8 @@ class SimCore {
   bool stream_exhausted_ = false;
   bool stalled_on_store_buffer_ = false;
   bool stalled_on_load_window_ = false;
-  std::function<void()> resume_store_;
-  std::function<void()> resume_load_;
+  sim::Action resume_store_;
+  sim::Action resume_load_;
   Cycle task_start_ = 0;
   Cycle task_ideal_ = 0;
 

@@ -2,20 +2,19 @@
 
 namespace tdn::noc {
 
-std::vector<CoreId> Mesh::xy_route(CoreId src, CoreId dst) const {
-  std::vector<CoreId> path;
+void Mesh::append_xy_route(CoreId src, CoreId dst,
+                           std::vector<CoreId>& out) const {
   Coord c = coord(src);
   const Coord d = coord(dst);
-  path.push_back(tile(c));
+  out.push_back(tile(c));
   while (c.x != d.x) {  // X first
     c.x += (d.x > c.x) ? 1 : -1;
-    path.push_back(tile(c));
+    out.push_back(tile(c));
   }
   while (c.y != d.y) {  // then Y
     c.y += (d.y > c.y) ? 1 : -1;
-    path.push_back(tile(c));
+    out.push_back(tile(c));
   }
-  return path;
 }
 
 std::vector<CoreId> Mesh::yx_route(CoreId src, CoreId dst) const {

@@ -45,7 +45,13 @@ class Mesh {
   }
 
   /// Tiles on the XY route from src to dst, inclusive of both endpoints.
-  std::vector<CoreId> xy_route(CoreId src, CoreId dst) const;
+  std::vector<CoreId> xy_route(CoreId src, CoreId dst) const {
+    std::vector<CoreId> path;
+    append_xy_route(src, dst, path);
+    return path;
+  }
+  /// Append the XY route from src to dst (both endpoints) to @p out.
+  void append_xy_route(CoreId src, CoreId dst, std::vector<CoreId>& out) const;
 
   /// Tiles on the YX (Y-dimension first) route from src to dst, inclusive of
   /// both endpoints. The deterministic fallback route when a link on the XY

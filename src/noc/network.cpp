@@ -12,15 +12,15 @@ Network::Network(const Mesh& mesh, sim::EventQueue& eq, NetworkConfig cfg)
       link_bytes_(mesh.tiles(), {0, 0, 0, 0}),
       per_router_bytes_(mesh.tiles(), 0) {
   TDN_REQUIRE(cfg_.link_bytes_per_cycle > 0, "link bandwidth must be positive");
-}
-
-unsigned Network::dir_between(CoreId from, CoreId to) const {
-  const Coord a = mesh_.coord(from);
-  const Coord b = mesh_.coord(to);
-  if (b.x == a.x + 1) return 0;  // east
-  if (a.x == b.x + 1) return 1;  // west
-  if (b.y == a.y + 1) return 3;  // south (y grows downward)
-  return 2;                      // north
+  const unsigned n = mesh.tiles();
+  route_start_.reserve(std::size_t{n} * n + 1);
+  for (CoreId src = 0; src < n; ++src) {
+    for (CoreId dst = 0; dst < n; ++dst) {
+      route_start_.push_back(static_cast<std::uint32_t>(routes_.size()));
+      mesh.append_xy_route(src, dst, routes_);
+    }
+  }
+  route_start_.push_back(static_cast<std::uint32_t>(routes_.size()));
 }
 
 bool Network::has_link(CoreId tile, unsigned dir) const {
@@ -34,7 +34,7 @@ bool Network::has_link(CoreId tile, unsigned dir) const {
   return false;
 }
 
-bool Network::path_blocked(const std::vector<CoreId>& path) const {
+bool Network::path_blocked(std::span<const CoreId> path) const {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     if (!health_->link_ok(path[i], dir_between(path[i], path[i + 1])))
       return true;
@@ -82,15 +82,14 @@ void Network::send(CoreId src, CoreId dst, MsgClass cls, sim::Action deliver) {
 }
 
 void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
-                           sim::Action deliver, unsigned attempt) {
-  auto path = mesh_.xy_route(src, dst);
+                           sim::Action&& deliver, unsigned attempt) {
+  std::span<const CoreId> path = xy_path(src, dst);
+  std::vector<CoreId> detour;  // fault path only
   if (health_ != nullptr && health_->any_link_failed() && path_blocked(path)) {
-    auto alt = mesh_.yx_route(src, dst);
-    if (!path_blocked(alt)) {
+    detour = mesh_.yx_route(src, dst);
+    if (!path_blocked(detour) || find_detour(src, dst, detour)) {
       ++health_->counters.noc_reroutes;
-      path = std::move(alt);
-    } else if (find_detour(src, dst, path)) {
-      ++health_->counters.noc_reroutes;
+      path = detour;
     } else {
       // Every known route crosses a dead link (a cut through the mesh).
       // Back off and retry a bounded number of times; the bound turns a
@@ -99,8 +98,9 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
                 "message cannot route around failed links");
       ++health_->counters.noc_retries;
       // An Action cannot nest inside another Action of the same capacity;
-      // box it for the (rare, fault-only) backoff. This is the one place on
-      // the message path that may allocate, and only when links have failed.
+      // box it for the (rare, fault-only) backoff. This and the detour
+      // vectors are the only allocations on the message path, and happen
+      // only when links have failed.
       auto boxed = std::make_shared<sim::Action>(std::move(deliver));
       eq_.schedule_in(cfg_.dead_link_backoff * (attempt + 1),
                       [this, src, dst, cls, boxed, attempt] {

@@ -6,11 +6,17 @@
 // experience queuing. The model accounts, per router, the bytes that passed
 // through it — the paper's Fig. 12 "data movement" metric is the aggregate of
 // those bytes.
+//
+// A send on a healthy mesh allocates nothing: its route comes from a
+// per-(src, dst) table filled at construction, and its delivery callable is
+// stored inline (sim::Action). Only the fault path builds route vectors (the
+// YX fallback and dog-leg detours) and boxes the callable (dead-link
+// retries).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -124,9 +130,20 @@ class Network {
   };
   /// Direction index (0=E,1=W,2=N,3=S) of the link from @p from to the
   /// adjacent tile @p to.
-  unsigned dir_between(CoreId from, CoreId to) const;
+  unsigned dir_between(CoreId from, CoreId to) const {
+    const CoreId w = mesh_.width();
+    if (to == from + w) return 3;   // south (y grows downward)
+    if (from == to + w) return 2;   // north
+    return to == from + 1 ? 0 : 1;  // east : west
+  }
+  /// The healthy-mesh XY route from @p src to @p dst, endpoints inclusive.
+  std::span<const CoreId> xy_path(CoreId src, CoreId dst) const {
+    const std::size_t k = std::size_t{src} * mesh_.tiles() + dst;
+    return {routes_.data() + route_start_[k],
+            route_start_[k + 1] - route_start_[k]};
+  }
   /// Whether any link on @p path (hop list, endpoints inclusive) has failed.
-  bool path_blocked(const std::vector<CoreId>& path) const;
+  bool path_blocked(std::span<const CoreId> path) const;
   /// The tile adjacent to @p tile in direction @p dir (must exist).
   CoreId neighbor(CoreId tile, unsigned dir) const;
   /// When XY and YX both cross a dead link (src/dst share a row or column),
@@ -134,13 +151,17 @@ class Network {
   /// and fills @p path with the first fully healthy candidate.
   bool find_detour(CoreId src, CoreId dst, std::vector<CoreId>& path) const;
   void send_attempt(CoreId src, CoreId dst, MsgClass cls,
-                    sim::Action deliver, unsigned attempt);
+                    sim::Action&& deliver, unsigned attempt);
 
   const Mesh& mesh_;
   sim::EventQueue& eq_;
   NetworkConfig cfg_;
   const fault::HealthState* health_ = nullptr;
   std::array<obs::LatencyHistogram*, 2> transit_sinks_{};  ///< [Control, Data]
+  /// XY routes of every (src, dst) pair laid end to end; the route of pair
+  /// k = src * tiles + dst spans [route_start_[k], route_start_[k + 1]).
+  std::vector<CoreId> routes_;
+  std::vector<std::uint32_t> route_start_;
   std::vector<std::array<Link, 4>> links_;
   std::vector<std::array<std::uint64_t, kLinkDirs>> link_bytes_;
   std::vector<std::uint64_t> per_router_bytes_;

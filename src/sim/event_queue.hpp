@@ -1,25 +1,32 @@
 // Discrete-event simulation engine.
 //
-// A single binary-heap event queue drives the whole system. Events scheduled
-// for the same cycle execute in schedule order (a monotonically increasing
-// sequence number breaks ties), which makes every run fully deterministic
-// (DESIGN.md decision 6).
+// A single event queue drives the whole system. Events scheduled for the
+// same cycle execute in schedule order (a monotonically increasing sequence
+// number breaks ties), which makes every run fully deterministic (DESIGN.md
+// decision 6).
 //
 // Performance model (DESIGN.md decision 1): events live in a recycled pool
 // and their callables are stored inline (InlineFunction), so steady-state
-// scheduling and dispatch never touch the heap allocator. The priority heap
-// orders Event* pointers — sift operations move 8-byte pointers, not whole
-// closures. The (when, seq) order is exactly the pre-pool order, so every
-// fingerprint golden stays bit-identical.
+// scheduling and dispatch never touch the heap allocator. Pending events sit
+// in a 256-slot timing wheel backed by an overflow heap (Brown's calendar
+// queue, CACM 1988): an event less than 256 cycles ahead joins the FIFO of
+// bucket `when & 255` through an intrusive link, and a 256-bit occupancy mask
+// finds the next non-empty bucket. Later events wait in a binary heap of
+// Event* ordered by (when, seq). Whenever the clock advances, every overflow
+// event that has come inside the window moves to its bucket before the next
+// action runs; it was scheduled before anything scheduled directly into that
+// bucket, so each bucket's FIFO is (when, seq) order and the dispatch order
+// is exactly the plain heap's — every fingerprint golden stays bit-identical.
 //
 // Exception safety: grow_pool() reserves *full pool capacity* for both the
-// free list and the heap, so once a slot is acquired neither push_event()
-// nor recycle() can allocate. That makes recycle() honestly noexcept (it
-// runs in destructors during unwind) and lets commit() stamp the sequence
-// number and observer census only after the action is safely in place — a
-// throwing capture constructor leaks no seq and skews no counter.
+// free list and the overflow heap, so once a slot is acquired neither
+// push_event() nor recycle() can allocate. That makes recycle() honestly
+// noexcept (it runs in destructors during unwind) and lets commit() stamp the
+// sequence number and observer census only after the action is safely in
+// place — a throwing capture constructor leaks no seq and skews no counter.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -32,9 +39,9 @@
 namespace tdn::sim {
 
 /// Inline-capture budget for one event action. Sized for the largest
-/// capture on the coherence path (a miss continuation carrying a
-/// std::function completion plus addresses and ids); anything larger fails
-/// to compile — see InlineFunction.
+/// capture on the coherence path: an MSHR fill callback (a 96-byte
+/// InlineFunction, 112 bytes in all) replayed through the queue. Anything
+/// larger fails to compile — see InlineFunction.
 inline constexpr std::size_t kActionCapacity = 120;
 
 /// The event-queue callable. Also used directly for per-message delivery
@@ -123,16 +130,16 @@ class EventQueue {
   /// legal before anything has been scheduled or run, so it can never skip
   /// over a pending event.
   void fast_forward(Cycle cycle) {
-    TDN_REQUIRE(heap_.empty() && executed_ == 0 && now_ == 0,
+    TDN_REQUIRE(size_ == 0 && executed_ == 0 && now_ == 0,
                 "fast_forward is restore-only: queue must be fresh");
     now_ = cycle;
   }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t pending() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t pending() const noexcept { return size_; }
   /// Pending events excluding observers — "is the simulation still live?".
   std::size_t real_pending() const noexcept {
-    return heap_.size() - observer_pending_;
+    return size_ - observer_pending_;
   }
   /// Observer events still queued (sampler ticks, watchdog checks).
   std::size_t observer_pending() const noexcept { return observer_pending_; }
@@ -157,6 +164,7 @@ class EventQueue {
     Cycle when = 0;
     std::uint64_t seq = 0;
     bool observer = false;
+    Event* next = nullptr;  ///< FIFO link inside a wheel bucket
     Action fn;
   };
   struct Later {
@@ -166,6 +174,12 @@ class EventQueue {
     }
   };
   static constexpr std::size_t kChunk = 256;
+  /// Wheel span: an event fewer than kWheel cycles ahead goes to a bucket.
+  static constexpr Cycle kWheel = 256;
+  struct Bucket {
+    Event* head = nullptr;
+    Event* tail = nullptr;
+  };
 
   /// Returns an acquired-but-uncommitted slot to the free list when the
   /// action's capture constructor throws. recycle() cannot allocate
@@ -194,7 +208,7 @@ class EventQueue {
 
   /// Stamp the seq and enqueue a fully-built event. Runs only after the
   /// action is in place and cannot throw, so a failed capture leaves seq
-  /// counters, the heap and the observer census untouched — the caller's
+  /// counters, the queue and the observer census untouched — the caller's
   /// PoolGuard returns the slot.
   void commit(Event* ev) noexcept {
     ev->seq = next_seq_++;
@@ -202,16 +216,46 @@ class EventQueue {
     if (ev->observer) ++observer_pending_;
   }
 
-  void push_event(Event* ev) noexcept;
-  /// Pop the heap top; the caller runs the action and then recycles.
-  Event* pop_top() noexcept;
+  void push_event(Event* ev) noexcept {
+    ++size_;
+    if (ev->when - now_ < kWheel) {
+      append(ev);
+    } else {
+      push_overflow(ev);
+    }
+  }
+  /// Append to the FIFO of bucket `when & 255` and mark it occupied.
+  void append(Event* ev) noexcept {
+    const std::size_t i = ev->when & (kWheel - 1);
+    Bucket& b = wheel_[i];
+    ev->next = nullptr;
+    if (b.tail == nullptr) {
+      b.head = ev;
+      occupied_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    } else {
+      b.tail->next = ev;
+    }
+    b.tail = ev;
+  }
+  void push_overflow(Event* ev) noexcept;
+  /// Index of the first occupied bucket at or after now() (wheel non-empty).
+  std::size_t first_bucket() const noexcept;
+  /// Unlink the head of @p bucket, or the overflow heap's top when @p bucket
+  /// is kWheel; the caller runs the action and then recycles.
+  Event* pop_from(std::size_t bucket) noexcept;
+  /// Set the clock to @p when and move every overflow event now inside the
+  /// window into its bucket.
+  void advance(Cycle when) noexcept;
   void recycle(Event* ev) noexcept {
     ev->fn.reset();
     free_.push_back(ev);  // cannot allocate: grow_pool reserved full capacity
   }
   void grow_pool();
 
-  std::vector<Event*> heap_;  ///< binary min-heap of pooled events
+  std::array<Bucket, kWheel> wheel_{};
+  std::array<std::uint64_t, kWheel / 64> occupied_{};  ///< non-empty buckets
+  std::size_t size_ = 0;      ///< pending events, wheel and overflow
+  std::vector<Event*> heap_;  ///< overflow min-heap: events >= kWheel ahead
   std::vector<Event*> free_;  ///< recycled slots
   std::vector<std::unique_ptr<Event[]>> chunks_;
   Cycle now_ = 0;

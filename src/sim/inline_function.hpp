@@ -9,6 +9,15 @@
 // the buffer fails to build (static_assert), which keeps the hot path
 // allocation-free by construction rather than by luck. The same discipline
 // as gem5's pooled/intrusive events, expressed as a vocabulary type.
+//
+// Event actions, message deliveries, blocked-directory waiters and the core's
+// resume slots are sim::Action (120 bytes). An InlineFunction cannot hold one
+// of its own capacity, so a callable that travels inside an Action uses a
+// smaller one (the MSHR's 96-byte fill callbacks), and the rare paths that
+// must carry a whole Action further (dead-link and full-MSHR retries) box it.
+// What still allocates per event is std::function: CoherentSystem::access
+// continuations larger than its 16-byte buffer (page-walk steps) and the
+// page walker's per-walk state.
 #pragma once
 
 #include <cstddef>

@@ -15,24 +15,29 @@ Mmu::Mmu(CoreId core, sim::EventQueue& eq, coherence::CoherentSystem* caches,
               "vm mode needs a cache hierarchy for page walks");
 }
 
-void Mmu::translate(Addr vaddr, std::function<void(Cycle, Addr)> done) {
+bool Mmu::translate_now(Addr vaddr, Cycle& cycles, Addr& paddr) {
   const TlbHierarchy::Result r = tlbs_.lookup(vaddr);
+  cycles = r.latency;
   if (r.hit) {
-    observe(r.latency);
-    done(r.latency, r.paddr);
-    return;
+    paddr = r.paddr;
+  } else if (vm_.enabled) {
+    return false;
+  } else {
+    const mem::PageTable::PageMapping m = pt_.touch_page(vaddr);
+    tlbs_.fill(m.va_base, m.span, m.pa_base);
+    cycles += miss_penalty_;
+    paddr = m.pa_base + (vaddr - m.va_base);
   }
+  observe(cycles);
+  return true;
+}
+
+void Mmu::walk(Addr vaddr, Cycle probe,
+               std::function<void(Cycle, Addr)> done) {
   const mem::PageTable::PageMapping m = pt_.touch_page(vaddr);
   const Addr paddr = m.pa_base + (vaddr - m.va_base);
-  if (!vm_.enabled) {
-    tlbs_.fill(m.va_base, m.span, m.pa_base);
-    const Cycle lat = r.latency + miss_penalty_;
-    observe(lat);
-    done(lat, paddr);
-    return;
-  }
   walker_.walk(vaddr, m.span,
-               [this, m, paddr, probe = r.latency,
+               [this, m, paddr, probe,
                 done = std::move(done)](Cycle walk_cycles) {
                  tlbs_.fill(m.va_base, m.span, m.pa_base);
                  observe(probe + walk_cycles);

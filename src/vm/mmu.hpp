@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "common/types.hpp"
 #include "mem/page_table.hpp"
@@ -38,8 +39,18 @@ class Mmu {
 
   /// Translate @p vaddr for a demand access, allocating the page on first
   /// touch. @p done receives (translation cycles, physical address); it is
-  /// invoked synchronously on a TLB hit (and always, in legacy mode).
-  void translate(Addr vaddr, std::function<void(Cycle, Addr)> done);
+  /// invoked synchronously on a TLB hit (and always, in legacy mode), and
+  /// only a vm-mode miss wraps it in a std::function for the page walk.
+  template <typename Done>
+  void translate(Addr vaddr, Done&& done) {
+    Cycle cycles = 0;
+    Addr paddr = 0;
+    if (translate_now(vaddr, cycles, paddr)) {
+      done(cycles, paddr);
+    } else {
+      walk(vaddr, cycles, std::forward<Done>(done));
+    }
+  }
 
   /// Synchronous translation charge for the runtime's ISA path (the
   /// iterative tdnuca_register walk executes under the runtime lock).
@@ -85,6 +96,13 @@ class Mmu {
   }
 
  private:
+  /// Every translation but a vm-mode TLB miss completes here: returns true
+  /// with its cycles and physical address. On a vm-mode miss returns false
+  /// with @p cycles set to the TLB probe, and the caller starts the walk.
+  bool translate_now(Addr vaddr, Cycle& cycles, Addr& paddr);
+  /// The vm-mode miss path: map the page and walk; @p done fires when the
+  /// walk's PTE loads return.
+  void walk(Addr vaddr, Cycle probe, std::function<void(Cycle, Addr)> done);
   void observe(Cycle translation_cycles) {
     if (obs_translation_ != nullptr) obs_translation_->add(translation_cycles);
   }

@@ -1,5 +1,7 @@
 #include "vm/tlb_hierarchy.hpp"
 
+#include <iterator>
+
 #include "common/require.hpp"
 
 namespace tdn::vm {
@@ -31,8 +33,15 @@ void TlbArray::fill(Addr va_base, Addr span, Addr pa_base) {
     return;
   }
   if (map_.size() >= entries_) {
-    map_.erase(lru_.back().va_base);
-    lru_.pop_back();
+    // Evict the LRU entry by reusing its list and map nodes: a full array
+    // fills without allocating.
+    auto node = map_.extract(lru_.back().va_base);
+    lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+    lru_.front() = {va_base, pa_base, span};
+    node.key() = va_base;
+    node.mapped() = lru_.begin();
+    map_.insert(std::move(node));
+    return;
   }
   lru_.push_front({va_base, pa_base, span});
   map_.emplace(va_base, lru_.begin());

@@ -208,9 +208,12 @@ TEST(Mshr, MergeAndComplete) {
             MshrFile::Outcome::Merged);
   EXPECT_TRUE(mshr.in_flight(0x40));
   EXPECT_EQ(mshr.merges(), 1u);
-  auto cbs = mshr.complete(0x40);
-  EXPECT_EQ(cbs.size(), 2u);
-  for (auto& cb : cbs) cb();
+  std::size_t handed = 0;
+  mshr.complete(0x40, [&](MshrFile::Callback& cb) {
+    ++handed;
+    cb();
+  });
+  EXPECT_EQ(handed, 2u);
   EXPECT_EQ(fills, 2);
   EXPECT_FALSE(mshr.in_flight(0x40));
 }
@@ -228,24 +231,26 @@ TEST(Mshr, CapacityLimit) {
 TEST(Mshr, FullLeavesCallbackIntact) {
   // Contract regression (mshr.hpp): Outcome::Full must not consume the
   // rvalue callback — the caller keeps ownership and retries later. A
-  // moved-from std::function here would silently drop the fill and strand
-  // the access forever.
+  // moved-from callback here would silently drop the fill and strand the
+  // access forever.
   MshrFile mshr(1);
   EXPECT_EQ(mshr.register_miss(0x00, [] {}), MshrFile::Outcome::NewEntry);
   int calls = 0;
-  std::function<void()> cb = [&] { ++calls; };
+  MshrFile::Callback cb = [&] { ++calls; };
   EXPECT_EQ(mshr.register_miss(0x40, std::move(cb)), MshrFile::Outcome::Full);
   ASSERT_TRUE(static_cast<bool>(cb));  // still owned by the caller
   // Retry after the in-flight miss completes: the same callback registers
   // and fires normally.
-  for (auto& fill : mshr.complete(0x00)) fill();
+  const auto run = [](MshrFile::Callback& fill) { fill(); };
+  mshr.complete(0x00, run);
   EXPECT_EQ(mshr.register_miss(0x40, std::move(cb)),
             MshrFile::Outcome::NewEntry);
-  for (auto& fill : mshr.complete(0x40)) fill();
+  mshr.complete(0x40, run);
   EXPECT_EQ(calls, 1);
 }
 
 TEST(Mshr, CompleteUnknownThrows) {
   MshrFile mshr(2);
-  EXPECT_THROW(mshr.complete(0x123), RequireError);
+  EXPECT_THROW(mshr.complete(0x123, [](MshrFile::Callback&) {}),
+               RequireError);
 }

@@ -43,7 +43,7 @@ void tiny_program(system::TiledSystem& sys, int tasks = 8) {
     ph.range = r;
     ph.kind = (i % 2 != 0) ? AccessKind::Write : AccessKind::Read;
     p.add_phase(ph);
-    rt.create_task("t" + std::to_string(i),
+    rt.create_task(std::string("t").append(std::to_string(i)),
                    {{d, i % 2 != 0 ? DepUse::Out : DepUse::In}},
                    std::move(p));
   }

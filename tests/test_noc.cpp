@@ -2,6 +2,10 @@
 // timing and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
@@ -113,4 +117,57 @@ TEST(Network, ControlSmallerThanData) {
   Mesh m(2, 2);
   Network net(m, eq, {});
   EXPECT_LT(net.bytes_of(MsgClass::Control), net.bytes_of(MsgClass::Data));
+}
+
+TEST(Network, HealthySendChargesTheXyRoute) {
+  // A healthy send must charge exactly the routers, links and hops of
+  // Mesh::xy_route, for every (src, dst) of several mesh shapes.
+  for (const auto& [w, h] : {std::pair{4u, 4u}, {4u, 2u}, {8u, 4u}, {3u, 5u}}) {
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    sim::EventQueue eq;
+    Mesh m(w, h);
+    NetworkConfig cfg;
+    Network net(m, eq, cfg);
+    const unsigned bytes = net.bytes_of(MsgClass::Control);
+    for (CoreId a = 0; a < m.tiles(); ++a) {
+      for (CoreId b = 0; b < m.tiles(); ++b) {
+        const auto path = m.xy_route(a, b);
+        std::vector<std::uint64_t> routers(m.tiles());
+        std::vector<std::uint64_t> links(m.tiles() * Network::kLinkDirs);
+        for (CoreId t = 0; t < m.tiles(); ++t) {
+          routers[t] = net.router_bytes_at(t);
+          for (unsigned d = 0; d < Network::kLinkDirs; ++d)
+            if (net.has_link(t, d))
+              links[t * Network::kLinkDirs + d] = net.link_bytes(t, d);
+        }
+        for (const CoreId t : path) routers[t] += bytes;
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          const Coord from = m.coord(path[i]);
+          const Coord to = m.coord(path[i + 1]);
+          const unsigned dir = to.x > from.x   ? 0
+                               : to.x < from.x ? 1
+                               : to.y < from.y ? 2
+                                               : 3;
+          links[path[i] * Network::kLinkDirs + dir] += bytes;
+        }
+        const std::uint64_t hops_before = net.total_hops();
+        const Cycle sent = eq.now();
+        Cycle arrival = 0;
+        net.send(a, b, MsgClass::Control, [&] { arrival = eq.now(); });
+        eq.run();
+        EXPECT_EQ(net.total_hops() - hops_before, path.size() - 1);
+        EXPECT_EQ(arrival - sent,
+                  (path.size() - 1) * (cfg.router_latency + cfg.link_latency));
+        for (CoreId t = 0; t < m.tiles(); ++t) {
+          EXPECT_EQ(net.router_bytes_at(t), routers[t]) << a << "->" << b;
+          for (unsigned d = 0; d < Network::kLinkDirs; ++d) {
+            if (net.has_link(t, d)) {
+              EXPECT_EQ(net.link_bytes(t, d), links[t * Network::kLinkDirs + d])
+                  << a << "->" << b << " link " << t << Network::dir_name(d);
+            }
+          }
+        }
+      }
+    }
+  }
 }

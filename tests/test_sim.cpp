@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/joiner.hpp"
@@ -291,6 +292,94 @@ TEST(EventQueue, ObserverInterleavesAtCorrectCycles) {
   EXPECT_EQ(at[0], 10u);
   EXPECT_EQ(at[1], 15u);
   EXPECT_EQ(at[2], 20u);
+}
+
+namespace {
+// Random schedule over every placement the queue distinguishes: the current
+// cycle, a few cycles ahead, straddling the 256-cycle wheel edge and far
+// past it. Each action records when it ran and in what order it was
+// scheduled, and may schedule children.
+struct RandomSchedule {
+  EventQueue eq;
+  SplitMix64 rng;
+  std::uint64_t scheduled = 0;
+  std::uint64_t observers = 0;
+  struct Run {
+    Cycle due;
+    Cycle at;
+    std::uint64_t order;
+  };
+  std::vector<Run> runs;
+
+  explicit RandomSchedule(std::uint64_t seed) : rng(seed) {}
+
+  Cycle delay() {
+    const std::uint64_t r = rng.next_below(10);
+    if (r < 2) return 0;
+    if (r < 5) return 1 + rng.next_below(3);
+    if (r < 8) return 250 + rng.next_below(12);
+    return rng.next_below(3001);
+  }
+  void spawn() {
+    const Cycle due = eq.now() + delay();
+    const std::uint64_t order = scheduled++;
+    auto action = [this, due, order] {
+      runs.push_back({due, eq.now(), order});
+      if (scheduled < 4000) {
+        const std::uint64_t children = rng.next_below(4);
+        for (std::uint64_t c = 0; c < children; ++c) spawn();
+      }
+    };
+    if (rng.next_below(10) == 0) {
+      ++observers;
+      eq.schedule_observer_at(due, action);
+    } else {
+      eq.schedule_at(due, action);
+    }
+  }
+};
+}  // namespace
+
+TEST(EventQueue, RandomSchedulesRunInWhenThenScheduleOrder) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomSchedule s(seed);
+    for (int i = 0; i < 8; ++i) s.spawn();
+    s.eq.run();
+    ASSERT_EQ(s.runs.size(), s.scheduled);  // none lost
+    EXPECT_TRUE(s.eq.empty());
+    EXPECT_EQ(s.eq.executed(), s.scheduled - s.observers);
+    for (std::size_t i = 0; i < s.runs.size(); ++i) {
+      ASSERT_EQ(s.runs[i].at, s.runs[i].due);
+      if (i == 0) continue;
+      const auto& a = s.runs[i - 1];
+      const auto& b = s.runs[i];
+      ASSERT_TRUE(a.due < b.due || (a.due == b.due && a.order < b.order))
+          << "event " << i;
+    }
+  }
+}
+
+TEST(EventQueue, ResumeAfterOverrunAcrossTheWheelEdge) {
+  // The over-limit event sits in the wheel and a later one in the overflow
+  // heap; resuming must run both, and an event scheduled between the runs,
+  // at their cycles and in order.
+  EventQueue eq;
+  std::vector<Cycle> ran;
+  const auto record = [&] { ran.push_back(eq.now()); };
+  eq.schedule_at(10, [&] {
+    record();
+    eq.schedule_in(250, record);  // cycle 260: in the wheel
+  });
+  eq.schedule_at(700, record);  // overflow
+  EXPECT_THROW(eq.run_until(255), RequireError);
+  EXPECT_EQ(eq.now(), 10u);
+  EXPECT_EQ(eq.pending(), 2u);
+  eq.schedule_at(400, record);  // overflow, scheduled after the overrun
+  EXPECT_EQ(eq.run_until(1000), 700u);
+  EXPECT_EQ(ran, (std::vector<Cycle>{10, 260, 400, 700}));
+  EXPECT_EQ(eq.executed(), 4u);
+  EXPECT_TRUE(eq.empty());
 }
 
 TEST(Joiner, FiresWhenArmedAndDrained) {
