@@ -82,6 +82,12 @@ const GoldenCase kGoldens[] = {
     {"gauss+histo", system::PolicyKind::TdNuca, 0xcb0111bf99949892ull,
      0x6c8bebd45c875451ull, 0.02, "poisson:gap=40k", false, false, "",
      /*ckpt_every=*/200'000},
+    // The two TD-NUCA study variants: the dry run (Sec. V-E: bookkeeping
+    // only, the hierarchy places as S-NUCA) and bypass-only (Fig. 15).
+    {"gauss", system::PolicyKind::TdNucaDryRun, 0x755de77a12fce369ull,
+     0xe693f2085a1a58bbull},
+    {"gauss", system::PolicyKind::TdNucaBypassOnly, 0xc78aa31e2790570aull,
+     0xd26ee8c53e44ca75ull},
 };
 
 harness::RunConfig golden_config(const GoldenCase& c) {
