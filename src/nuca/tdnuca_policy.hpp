@@ -9,7 +9,8 @@
 // The RRT lookup latency is charged on the miss path (Sec. V-E sweeps it).
 //
 // The software side — placement decisions, RRT maintenance, flush sequencing
-// — lives in tdnuca::TdNucaRuntimeHooks.
+// — lives in tdnuca::TdNucaRuntimeHooks, and so do the paper's study
+// variants (bypass-only, dry run): the hardware is the same in all of them.
 #pragma once
 
 #include <vector>
@@ -27,9 +28,6 @@ namespace tdn::nuca {
 struct TdNucaConfig {
   unsigned rrt_entries = 64;
   Cycle rrt_latency = 1;
-  /// Fig. 15 variant: only the LLC-bypass placement is applied; private
-  /// local-bank mapping and cluster replication are disabled.
-  bool bypass_only = false;
 };
 
 class TdNucaPolicy final : public MappingPolicy {
@@ -37,14 +35,11 @@ class TdNucaPolicy final : public MappingPolicy {
   TdNucaPolicy(const noc::Mesh& mesh, unsigned num_banks,
                TdNucaConfig cfg = {});
 
-  const char* name() const override {
-    return cfg_.bypass_only ? "TD-NUCA(bypass-only)" : "TD-NUCA";
-  }
+  const char* name() const override { return "TD-NUCA"; }
 
   MapDecision map(CoreId core, Addr vaddr, Addr paddr,
                   AccessKind kind) override;
 
-  const TdNucaConfig& config() const noexcept { return cfg_; }
   tdnuca::Rrt& rrt(CoreId core) { return rrts_.at(core); }
   const tdnuca::Rrt& rrt(CoreId core) const { return rrts_.at(core); }
   const tdnuca::ClusterMap& clusters() const noexcept { return clusters_; }

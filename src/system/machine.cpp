@@ -43,11 +43,13 @@ std::uint64_t SystemConfig::fingerprint() const {
      << core.load_issue_cost << '/' << runtime.dispatch_overhead << '/'
      << runtime.per_dep_overhead << '/' << runtime.dispatch_jitter << '/'
      << runtime.jitter_seed << '/' << tdnuca.rrt_entries << '/'
-     << tdnuca.rrt_latency << '/' << tdnuca.bypass_only << '/'
+     << tdnuca.rrt_latency << '/'
+     // Deleted bypass_only, dry_run and line_size keep their v8 slots.
+     << "0/"
      << rnuca.reclassification_penalty << '/' << rnuca.first_touch_penalty
      << '/' << hooks.decision_overhead << '/' << hooks.isa.per_rrt_slot << '/'
      << hooks.isa.issue_overhead << '/' << hooks.isa.flush_poll_overhead << '/'
-     << hooks.dry_run << '/' << hooks.line_size << '/'
+     << "0/64/"
      << network.dead_link_backoff << '/' << network.dead_link_max_retries
      << '/' << fault::FaultPlan::parse(fault.plan).canonical() << '/'
      << fault.seed << '/' << fault.rrt_scrub_delay << '/' << vm.canonical();
@@ -122,12 +124,8 @@ PolicySet& Machine::add_policies(bool alternate_rnuca) {
     set.rnuca = std::make_unique<nuca::RNucaPolicy>(mesh_, n, page_table_,
                                                     cfg_.rnuca);
   }
-  if (k != PolicyKind::SNuca && k != PolicyKind::RNuca) {
-    auto td_cfg = cfg_.tdnuca;
-    if (k != PolicyKind::TdNucaDryRun)
-      td_cfg.bypass_only = (k == PolicyKind::TdNucaBypassOnly);
-    set.tdnuca = std::make_unique<nuca::TdNucaPolicy>(mesh_, n, td_cfg);
-  }
+  if (k != PolicyKind::SNuca && k != PolicyKind::RNuca)
+    set.tdnuca = std::make_unique<nuca::TdNucaPolicy>(mesh_, n, cfg_.tdnuca);
   if (set.snuca)
     set.active = set.snuca.get();
   else if (k == PolicyKind::RNuca)
@@ -203,11 +201,15 @@ Program Machine::make_program(nuca::TdNucaPolicy* td, const CoreMask& cores,
       break;
   }
   if (td != nullptr) {
-    auto hooks_cfg = cfg_.hooks;
-    hooks_cfg.dry_run = (cfg_.policy == PolicyKind::TdNucaDryRun);
-    hooks_cfg.line_size = cfg_.hierarchy.l1.line_size;
+    // The TD-NUCA hardware is the same in every variant; the hooks differ.
+    tdnuca::Variant variant = tdnuca::Variant::Full;
+    if (cfg_.policy == PolicyKind::TdNucaBypassOnly)
+      variant = tdnuca::Variant::BypassOnly;
+    else if (cfg_.policy == PolicyKind::TdNucaDryRun)
+      variant = tdnuca::Variant::DryRun;
     auto hooks = std::make_unique<tdnuca::TdNucaRuntimeHooks>(
-        *td, page_table_, cfg_.num_cores(), hooks_cfg, rec_);
+        *td, page_table_, cfg_.num_cores(), variant,
+        cfg_.hierarchy.l1.line_size, cfg_.hooks, rec_);
     hooks->set_health(health());
     p.hooks_td = hooks.get();
     p.hooks = std::move(hooks);

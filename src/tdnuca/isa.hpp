@@ -18,16 +18,12 @@ struct IsaCostConfig {
   Cycle flush_poll_overhead = 10;  ///< polling loop on the completion register
 };
 
-/// Cycles to execute one register/invalidate instruction given the number of
-/// TLB lookups the range walk performed (caller accumulates real TLB
-/// latencies, which include misses) and the number of collapsed pieces.
-inline Cycle isa_register_cost(const IsaCostConfig& c, Cycle tlb_cycles,
-                               unsigned pieces) {
-  return c.issue_overhead + tlb_cycles + c.per_rrt_slot * pieces;
-}
-
-inline Cycle isa_invalidate_cost(const IsaCostConfig& c, Cycle tlb_cycles,
-                                 unsigned pieces) {
+/// Cycles to execute one register or invalidate instruction (both update
+/// the RRT) given the number of TLB lookups the range walk performed (caller
+/// accumulates real TLB latencies, which include misses) and the number of
+/// collapsed pieces.
+inline Cycle isa_rrt_cost(const IsaCostConfig& c, Cycle tlb_cycles,
+                          unsigned pieces) {
   return c.issue_overhead + tlb_cycles + c.per_rrt_slot * pieces;
 }
 

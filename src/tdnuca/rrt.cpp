@@ -8,34 +8,34 @@ namespace tdn::tdnuca {
 
 bool Rrt::register_range(const AddrRange& prange, BankMask mask) {
   TDN_REQUIRE(!prange.empty(), "RRT ranges must be non-empty");
-  // Trim the new range against existing entries: older registrations keep
-  // steering the addresses they already cover (the pre-split first-match
-  // lookup resolved overlaps the same way), and entries stay disjoint.
-  std::vector<AddrRange> pieces{prange};
-  for (const RrtEntry& e : entries_) {
-    std::vector<AddrRange> next;
-    for (const AddrRange& p : pieces) {
-      if (!p.overlaps(e.prange)) {
-        next.push_back(p);
-        continue;
-      }
-      overlap_trims_.inc();
-      if (p.begin < e.prange.begin) next.push_back({p.begin, e.prange.begin});
-      if (e.prange.end < p.end) next.push_back({e.prange.end, p.end});
-    }
-    pieces = std::move(next);
-    if (pieces.empty()) break;
-  }
+  // Older registrations keep steering the addresses they already cover (the
+  // pre-split first-match lookup resolved overlaps the same way), so only
+  // the gaps they leave in the range are inserted, lowest first, and entries
+  // stay disjoint. One sweep from the range's start: at each address either
+  // an older entry covers it (skip to that entry's end) or a gap runs up to
+  // the next older entry's start.
+  const std::size_t older = entries_.size();
   bool all_inserted = true;
-  std::sort(pieces.begin(), pieces.end(),
-            [](const AddrRange& a, const AddrRange& b) { return a.begin < b.begin; });
-  for (const AddrRange& p : pieces) {
-    if (entries_.size() >= capacity_) {
-      overflow_.inc();
-      all_inserted = false;
+  for (Addr at = prange.begin; at < prange.end;) {
+    Addr gap_end = prange.end;
+    const RrtEntry* cover = nullptr;
+    for (std::size_t i = 0; i < older && cover == nullptr; ++i) {
+      const AddrRange& r = entries_[i].prange;
+      if (r.contains(at)) cover = &entries_[i];
+      else if (at < r.begin && r.begin < gap_end) gap_end = r.begin;
+    }
+    if (cover != nullptr) {
+      overlap_trims_.inc();  // disjoint entries: each one is met once
+      at = cover->prange.end;
       continue;
     }
-    entries_.push_back(RrtEntry{p, mask});
+    if (entries_.size() < capacity_) {
+      entries_.push_back(RrtEntry{{at, gap_end}, mask});
+    } else {
+      overflow_.inc();
+      all_inserted = false;
+    }
+    at = gap_end;
   }
   max_occupancy_ = std::max<unsigned>(max_occupancy_,
                                       static_cast<unsigned>(entries_.size()));

@@ -14,10 +14,11 @@
 // Replicated mappings stay for future readers and are lazily invalidated
 // everywhere when the dependency transitions from read-only to written.
 //
-// The `bypass_only` variant (Fig. 15) applies only the Bypass placement.
-// The `dry_run` variant (Sec. V-E runtime-overhead study) performs all the
-// bookkeeping and decisions but never executes the ISA instructions, so the
-// cache hierarchy behaves exactly as the underlying policy (S-NUCA).
+// The hooks run one of three tdnuca::Variants, which system::Machine picks
+// from the PolicyKind: the full flowchart, bypass-only (Fig. 15: only the
+// Bypass placement is applied) and the dry run (Sec. V-E runtime-overhead
+// study: all the decisions and bookkeeping but no ISA instruction, so the
+// cache hierarchy behaves exactly as the underlying policy, S-NUCA).
 #pragma once
 
 #include <cstdint>
@@ -40,24 +41,30 @@ class Recorder;
 
 namespace tdn::tdnuca {
 
+/// Which of the paper's TD-NUCA configurations the hooks run.
+enum class Variant : std::uint8_t {
+  Full,        ///< the Fig. 7 flowchart
+  BypassOnly,  ///< Fig. 15: only the Bypass placement; the rest is S-NUCA
+  DryRun,      ///< Sec. V-E: decisions and bookkeeping, no ISA instruction
+};
+
 struct HooksConfig {
   /// Decision-algorithm cycles per dependency (RTCacheDirectory lookup +
   /// placement choice) — the paper's "biggest source of overhead".
   Cycle decision_overhead = 40;
   IsaCostConfig isa{};
-  /// Sec. V-E study: bookkeeping without ISA instructions.
-  bool dry_run = false;
-  unsigned line_size = 64;
 };
 
 class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
  public:
-  /// @p rec (optional) receives one trace span per TD-NUCA ISA instruction
-  /// (decision, tdnuca_register/invalidate/flush) laid back-to-back over the
-  /// cycles the core is charged; it observes only and never alters timing.
+  /// @p line_size is the L1 line size: only whole lines of a dependency are
+  /// managed. @p rec (optional) receives one trace span per TD-NUCA ISA
+  /// instruction (decision, tdnuca_register/invalidate/flush) laid
+  /// back-to-back over the cycles the core is charged; it observes only and
+  /// never alters timing.
   TdNucaRuntimeHooks(nuca::TdNucaPolicy& policy, mem::PageTable& pt,
-                     unsigned num_tiles, HooksConfig cfg = {},
-                     obs::Recorder* rec = nullptr);
+                     unsigned num_tiles, Variant variant, unsigned line_size,
+                     HooksConfig cfg = {}, obs::Recorder* rec = nullptr);
 
   /// Wire the runtime (needed to resolve DepIds); must be called before the
   /// first task is created.
@@ -120,6 +127,16 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
     std::uint64_t pages = 0;
   };
 
+  /// The cycles one hook charges its core and their trace spans.
+  struct IsaTimeline;
+  /// tdnuca_register: translate @p vrange, charge the instruction and map
+  /// every physical piece to @p mask in @p core's RRT.
+  Translated register_dep(IsaTimeline& tl, DepId dep, const AddrRange& vrange,
+                          core::SimCore& core, BankMask mask,
+                          const char* placement);
+  /// Drop every RRT entry of @p cores that overlaps one of @p pieces.
+  void clear_rrts(CoreMask cores, const std::vector<AddrRange>& pieces);
+
   /// End-of-task flushes drain asynchronously: the core moves on after the
   /// issue cost, and only a *future task touching the same dependency* must
   /// wait for completion (the runtime polls the flush-completion register
@@ -138,6 +155,8 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   nuca::TdNucaPolicy& policy_;
   mem::PageTable& pt_;
   unsigned num_tiles_;
+  Variant variant_;
+  unsigned line_size_;
   HooksConfig cfg_;
   obs::Recorder* rec_;
   const fault::HealthState* health_ = nullptr;

@@ -114,7 +114,8 @@ TEST(AllocBudget, TdNucaServingRun) {
   opts.horizon = 400'000;
   serve::ServeSystem sys(cfg, multi::MixSpec::parse("gauss+histo"), opts);
   sys.build({});
-  EXPECT_LT(allocations_per_event(sys, "serve gauss+histo"), 0.2);
+  // About 0.03 since RRT registration stopped allocating (0.08 before).
+  EXPECT_LT(allocations_per_event(sys, "serve gauss+histo"), 0.05);
 }
 
 TEST(AllocBudget, TdNucaFourKPageMix) {
@@ -127,7 +128,9 @@ TEST(AllocBudget, TdNucaFourKPageMix) {
   workloads::WorkloadParams params;
   params.scale = 0.125;
   sys.build(params);
-  EXPECT_LT(allocations_per_event(sys, "mix randtouch+kmeans vm4k"), 0.2);
+  // About 0.09 since RRT registration stopped allocating (0.14 before); the
+  // rest is mostly page walks (a Job and a continuation per PTE load).
+  EXPECT_LT(allocations_per_event(sys, "mix randtouch+kmeans vm4k"), 0.12);
 }
 
 }  // namespace

@@ -107,10 +107,10 @@ TEST(RtCacheDirectory, EntryLifecycle) {
 
 TEST(IsaCosts, ScaleWithPagesAndPieces) {
   IsaCostConfig c;
-  const Cycle small = isa_register_cost(c, 2, 1);
-  const Cycle large = isa_register_cost(c, 64, 8);
+  const Cycle small = isa_rrt_cost(c, 2, 1);
+  const Cycle large = isa_rrt_cost(c, 64, 8);
   EXPECT_LT(small, large);
   EXPECT_EQ(large - small, (64 - 2) + 7 * c.per_rrt_slot);
   EXPECT_GT(isa_flush_issue_cost(c, 10), isa_flush_issue_cost(c, 0));
-  EXPECT_EQ(isa_invalidate_cost(c, 0, 1), c.issue_overhead + c.per_rrt_slot);
+  EXPECT_EQ(isa_rrt_cost(c, 0, 1), c.issue_overhead + c.per_rrt_slot);
 }
