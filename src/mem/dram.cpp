@@ -8,7 +8,6 @@ Cycle MemController::request(Cycle arrival, AccessKind kind) {
   if (kind == AccessKind::Read) reads_.inc();
   else writes_.inc();
   const Cycle start = arrival > next_free_ ? arrival : next_free_;
-  queue_delay_.add(static_cast<double>(start - arrival));
   if (queue_sink_ != nullptr) queue_sink_->add(start - arrival);
   next_free_ = start + cfg_.service_interval;
   return start + cfg_.access_latency;

@@ -31,7 +31,6 @@ class MemController {
   std::uint64_t reads() const noexcept { return reads_.value(); }
   std::uint64_t writes() const noexcept { return writes_.value(); }
   std::uint64_t accesses() const noexcept { return reads() + writes(); }
-  double mean_queue_delay() const noexcept { return queue_delay_.mean(); }
   /// Cycle until which the controller is committed to already-issued
   /// requests; (busy_until - now) / service_interval is the instantaneous
   /// queue depth the obs epoch sampler reports.
@@ -58,7 +57,6 @@ class MemController {
   void ckpt_reset_stats() noexcept {
     reads_.reset();
     writes_.reset();
-    queue_delay_.reset();
   }
 
  private:
@@ -67,7 +65,6 @@ class MemController {
   obs::LatencyHistogram* queue_sink_ = nullptr;
   stats::Counter reads_;
   stats::Counter writes_;
-  stats::Sampled queue_delay_;
 };
 
 /// The set of memory controllers in the system with the line interleaving

@@ -54,24 +54,11 @@ class MultiProgramSystem {
   unsigned num_apps() const noexcept {
     return static_cast<unsigned>(apps_.size());
   }
-  const std::string& app_name(unsigned a) const {
-    return apps_.at(a)->workload_name;
-  }
   mem::VirtualSpace& app_vspace(unsigned a) { return apps_.at(a)->vspace; }
-  runtime::RuntimeSystem& app_runtime(unsigned a) {
-    return *apps_.at(a)->program.rt;
-  }
   const CoreMask& app_cores(unsigned a) const { return apps_.at(a)->cores; }
   const BankMask& app_banks(unsigned a) const { return apps_.at(a)->banks; }
-  /// The app's completion cycle (its slowdown numerator in WS/ANTT).
-  Cycle app_makespan(unsigned a) const {
-    return apps_.at(a)->program.rt->makespan();
-  }
   const workloads::WorkloadStats& app_workload_stats(unsigned a) const {
     return apps_.at(a)->workload->stats();
-  }
-  nuca::TdNucaPolicy* app_tdnuca_policy(unsigned a) {
-    return apps_.at(a)->policies->tdnuca.get();
   }
 
   sim::EventQueue& events() noexcept { return machine_.events(); }

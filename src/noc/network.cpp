@@ -139,7 +139,6 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
     link.next_free = depart + occupancy;
     t = depart + cfg_.router_latency + cfg_.link_latency;
   }
-  latency_.add(static_cast<double>(t - start));
   if (auto* sink = transit_sinks_[static_cast<unsigned>(cls) & 1])
     sink->add(t - start);
   if (t == start) {

@@ -85,7 +85,6 @@ class Network {
   std::uint64_t router_bytes_at(CoreId tile) const {
     return per_router_bytes_.at(tile);
   }
-  double mean_latency() const noexcept { return latency_.mean(); }
   std::uint64_t total_hops() const noexcept { return hops_total_; }
 
   // --- per-link traffic (obs epoch sampler / heatmaps) ------------------
@@ -105,11 +104,6 @@ class Network {
   const NetworkConfig& config() const noexcept { return cfg_; }
 
   // --- checkpoint fold (tdn::ckpt) -------------------------------------
-  /// Mean-latency numerator/denominator for exact recombination across a
-  /// checkpoint fold (Sampled weight is the sample count here: every send
-  /// adds with weight 1).
-  double latency_total() const noexcept { return latency_.total(); }
-  double latency_weight() const noexcept { return latency_.weight(); }
   /// Fold-and-reset all traffic statistics at a quiescent checkpoint
   /// boundary. Link busy-until horizons are left alone: at quiescence
   /// every horizon is <= now, so they never influence post-boundary
@@ -121,7 +115,6 @@ class Network {
     hops_total_ = 0;
     messages_.reset();
     data_messages_.reset();
-    latency_.reset();
   }
 
  private:
@@ -169,7 +162,6 @@ class Network {
   std::uint64_t hops_total_ = 0;
   stats::Counter messages_;
   stats::Counter data_messages_;
-  stats::Sampled latency_;
 };
 
 }  // namespace tdn::noc

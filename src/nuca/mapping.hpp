@@ -50,7 +50,6 @@ class CacheOps {
   /// banks, including back-invalidation of L1 copies they track.
   virtual void flush_llc_range(BankMask banks, const AddrRange& prange,
                                std::function<void()> done) = 0;
-  virtual Cycle now() const = 0;
 };
 
 class MappingPolicy {

@@ -95,16 +95,6 @@ class LatencyAttribution {
   const LatencyHistogram& by_distance(unsigned hops) const noexcept {
     return by_distance_[hops > kMaxDistance ? kMaxDistance : hops];
   }
-  const LatencyHistogram& noc_transit_const(unsigned cls) const noexcept {
-    return noc_transit_[cls & 1];
-  }
-  const LatencyHistogram& dram_queue_const() const noexcept {
-    return dram_queue_;
-  }
-  const LatencyHistogram& translation_const() const noexcept {
-    return translation_;
-  }
-  const LatencyHistogram& walk_const() const noexcept { return walk_; }
   /// Transactions stamped but never completed (lost to fault evacuation;
   /// zero on a fault-free run).
   std::size_t inflight() const noexcept { return inflight_.size(); }

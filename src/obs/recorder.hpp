@@ -76,8 +76,6 @@ class Recorder {
   const RecorderConfig& config() const noexcept { return cfg_; }
   bool trace_on() const noexcept { return cfg_.trace; }
   bool coherence_on() const noexcept { return cfg_.trace && cfg_.trace_coherence; }
-  bool epochs_on() const noexcept { return cfg_.epochs; }
-  bool heatmaps_on() const noexcept { return cfg_.heatmaps; }
   bool attribution_on() const noexcept { return attr_ != nullptr; }
   /// Null unless the attribution sink is enabled; the coherence layer
   /// null-tests this once at construction and stamps through the pointer.

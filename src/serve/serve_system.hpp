@@ -118,13 +118,11 @@ class ServeSystem {
   unsigned num_tenants() const noexcept {
     return static_cast<unsigned>(tenants_.apps.size());
   }
-  unsigned num_slots() const noexcept { return opts_.slots; }
   std::uint64_t offered() const noexcept { return offered_; }
   std::uint64_t shed() const noexcept { return shed_; }
   std::uint64_t requests_completed() const noexcept { return done_; }
   std::size_t queue_max_depth() const noexcept { return queue_max_depth_; }
   std::uint64_t policy_switches() const noexcept { return policy_switches_; }
-  const TenantQos& tenant_qos(unsigned t) const { return qos_.at(t); }
   const obs::LatencyHistogram& sojourn() const noexcept { return sojourn_; }
 
   sim::EventQueue& events() noexcept { return machine_.events(); }

@@ -5,9 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
-
-#include "common/require.hpp"
 
 namespace tdn::stats {
 
@@ -51,35 +48,6 @@ class Sampled {
   double min_ = 1e300;
   double max_ = -1e300;
   std::uint64_t n_ = 0;
-};
-
-/// Fixed-bucket integer histogram; values >= bucket count land in the last
-/// (overflow) bucket.
-class Histogram {
- public:
-  explicit Histogram(std::size_t buckets) : buckets_(buckets + 1, 0) {
-    TDN_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-  }
-
-  void add(std::uint64_t v, std::uint64_t count = 1) noexcept {
-    const std::size_t idx = std::min<std::uint64_t>(v, buckets_.size() - 1);
-    buckets_[idx] += count;
-    total_ += count;
-    weighted_ += v * count;
-  }
-
-  std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-  std::size_t num_buckets() const noexcept { return buckets_.size(); }
-  std::uint64_t total() const noexcept { return total_; }
-  double mean() const noexcept {
-    return total_ > 0 ? static_cast<double>(weighted_) / static_cast<double>(total_)
-                      : 0.0;
-  }
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
-  std::uint64_t weighted_ = 0;
 };
 
 }  // namespace tdn::stats

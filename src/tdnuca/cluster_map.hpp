@@ -34,10 +34,6 @@ class ClusterMap {
     return mesh_->cluster_of(tile, cw_, ch_);
   }
 
-  const std::vector<CoreId>& banks_of(unsigned cluster) const {
-    return banks_.at(cluster);
-  }
-
   BankMask mask_of(unsigned cluster) const {
     BankMask m;
     for (CoreId b : banks_.at(cluster)) m.set(b);

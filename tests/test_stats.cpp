@@ -42,24 +42,6 @@ TEST(Sampled, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(4);
-  h.add(0);
-  h.add(3);
-  h.add(99);  // overflow bucket
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, Mean) {
-  Histogram h(10);
-  h.add(2, 2);
-  h.add(4);
-  EXPECT_DOUBLE_EQ(h.mean(), (2.0 * 2 + 4) / 3.0);
-}
-
 TEST(Registry, SetAddGet) {
   Registry r;
   r.set("a.b", 1.0);
