@@ -77,7 +77,8 @@ void PageWalker::fill_psc(Addr vaddr, Addr span) {
     psc_l2_.fill(level_prefix(vaddr, 2), kLevelSpan[2]);
 }
 
-void PageWalker::walk(Addr vaddr, Addr span, std::function<void(Cycle)> done) {
+unsigned PageWalker::load_chain(Addr vaddr, Addr span,
+                                std::function<void(Cycle)> done) {
   struct Job {
     std::array<Addr, 4> loads;
     unsigned n = 0;
@@ -90,10 +91,13 @@ void PageWalker::walk(Addr vaddr, Addr span, std::function<void(Cycle)> done) {
   walk_loads_ += job->n;
   job->start = eq_.now();
   job->done = std::move(done);
+  // A charged walk fills the PSCs at once, as if it had completed.
+  if (!job->done) fill_psc(vaddr, span);
 
   // Dependent chain: each PTE load's fill triggers the next level's load.
   auto step = [this, job, vaddr, span](unsigned i, const auto& self) -> void {
     if (i == job->n) {
+      if (!job->done) return;
       fill_psc(vaddr, span);
       const Cycle lat = (eq_.now() - job->start) + cfg_.psc_latency;
       walk_cycles_ += lat;
@@ -104,35 +108,22 @@ void PageWalker::walk(Addr vaddr, Addr span, std::function<void(Cycle)> done) {
     caches_->access(core_, pa, pa, AccessKind::Read,
                    [i, self](Cycle) { self(i + 1, self); });
   };
+  const unsigned n = job->n;
   step(0, step);
+  return n;
+}
+
+void PageWalker::walk(Addr vaddr, Addr span, std::function<void(Cycle)> done) {
+  load_chain(vaddr, span, std::move(done));
 }
 
 Cycle PageWalker::charge_walk(Addr vaddr, Addr span) {
-  Addr loads[4];
-  unsigned n = 0;
-  plan_loads(vaddr, span, loads, n);
-  ++walks_;
-  walk_loads_ += n;
-  fill_psc(vaddr, span);
+  // The same PTE loads go into the hierarchy (chained, fire-and-forget) so
+  // the ISA-path walk warms and perturbs the caches like hardware would,
+  // while its cycle cost stays a deterministic synchronous charge.
+  const unsigned n = load_chain(vaddr, span, {});
   const Cycle c = cfg_.psc_latency + n * cfg_.walk_charge_per_level;
   charge_cycles_ += c;
-  // Fire the same PTE loads into the hierarchy (chained, fire-and-forget)
-  // so the ISA-path walk warms and perturbs the caches like hardware would,
-  // while its cycle cost stays a deterministic synchronous charge.
-  struct Job {
-    std::array<Addr, 4> loads;
-    unsigned n = 0;
-  };
-  auto job = std::make_shared<Job>();
-  std::copy(loads, loads + n, job->loads.begin());
-  job->n = n;
-  auto step = [this, job](unsigned i, const auto& self) -> void {
-    if (i == job->n) return;
-    const Addr pa = job->loads[i];
-    caches_->access(core_, pa, pa, AccessKind::Read,
-                   [i, self](Cycle) { self(i + 1, self); });
-  };
-  step(0, step);
   return c;
 }
 

@@ -15,15 +15,15 @@
 // are 8 bytes, so walks for neighbouring pages hit the same PTE cache
 // lines — the spatial locality real walkers exploit.
 //
-// Two entry points mirror the two translation contexts:
-//  * walk()        — demand-path TLB miss: fully event-driven, dependent
-//                    loads chained through the hierarchy, completion via
-//                    callback.
-//  * charge_walk() — ISA path (tdnuca_register's iterative translation,
-//                    executed under the runtime lock): returns a
-//                    deterministic synchronous cycle charge and fires the
-//                    same PTE loads fire-and-forget so the hierarchy is
-//                    warmed/perturbed like hardware would.
+// Two entry points mirror the two translation contexts; both fire the same
+// chain of dependent PTE loads (load_chain) through the hierarchy:
+//  * walk()        — demand-path TLB miss: fully event-driven, completion
+//                    via callback when the last load returns.
+//  * charge_walk() — ISA path (the iterative translation of the TD-NUCA
+//                    instructions, executed under the runtime lock):
+//                    returns a deterministic synchronous cycle charge and
+//                    leaves the loads to run fire-and-forget so the
+//                    hierarchy is warmed/perturbed like hardware would.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +85,12 @@ class PageWalker {
   /// @p fill, updates) the PSCs.
   void plan_loads(Addr vaddr, Addr span, Addr out[4], unsigned& n);
   void fill_psc(Addr vaddr, Addr span);
+  /// The one walk both entry points run: plan the PTE loads and fire them
+  /// through the hierarchy as a dependent chain. With @p done, a demand
+  /// walk: the PSCs fill when the last load returns and @p done receives
+  /// the walk's cycles. Without, a charged walk: the PSCs fill at once and
+  /// nothing waits for the loads. Returns the number of loads.
+  unsigned load_chain(Addr vaddr, Addr span, std::function<void(Cycle)> done);
 
   CoreId core_;
   sim::EventQueue& eq_;
