@@ -4,6 +4,7 @@
 // serving loop pauses dispatch, drains in-flight work and cold-normalizes
 // the machine (serve_system.cpp §checkpointing), which changes downstream
 // timing. They therefore enter RunConfig::fingerprint() via canonical().
+// Counters are not touched: a snapshot records their running totals.
 // The I/O knobs (directory, resume, retention) only say where snapshots go
 // and whether to load one — two runs differing only in those produce
 // bit-identical results, so they stay out of the fingerprint, like
@@ -20,8 +21,8 @@ namespace tdn::ckpt {
 struct Options {
   // --- behavioral (fingerprinted) ---------------------------------------
   /// Checkpoint cadence in simulated cycles; 0 disables checkpointing.
-  /// At each multiple the serving loop drains to a quiescent point, folds
-  /// machine counters into the baseline and snapshots. The headline
+  /// At each multiple the serving loop drains to a quiescent point,
+  /// cold-normalizes the machine and snapshots. The headline
   /// guarantee — interrupted+resumed == uninterrupted, bit for bit — holds
   /// between runs with the *same* cadence.
   Cycle every = 0;
@@ -31,7 +32,7 @@ struct Options {
 
   // --- I/O only (not fingerprinted) -------------------------------------
   /// Snapshot directory; empty with every > 0 means "drain and normalize
-  /// but write nothing" (useful in tests of the fold path itself).
+  /// but write nothing" (useful in tests of the checkpoint path itself).
   std::string dir;
   /// Load the newest valid snapshot from `dir` before running.
   bool resume = false;

@@ -5,12 +5,13 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/prng.hpp"
-#include "harness/results_cache.hpp"
+#include "common/write_file.hpp"
 
 namespace tdn::ckpt {
 
@@ -51,6 +52,25 @@ bool parse_name(const std::string& name, std::uint64_t fp, Cycle& cycle) {
     cycle = cycle * 10 + static_cast<Cycle>(c - '0');
   }
   return true;
+}
+
+/// Every snapshot file of @p fp in @p dir, by ascending cycle. An unreadable
+/// directory lists nothing.
+std::vector<std::filesystem::path> list_snapshots(const std::string& dir,
+                                                  std::uint64_t fp) {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<Cycle, fs::path>> have;
+  std::error_code ec;
+  for (const auto& ent : fs::directory_iterator(dir, ec)) {
+    Cycle c = 0;
+    if (parse_name(ent.path().filename().string(), fp, c))
+      have.emplace_back(c, ent.path());
+  }
+  std::sort(have.begin(), have.end());
+  std::vector<fs::path> out;
+  out.reserve(have.size());
+  for (auto& h : have) out.push_back(std::move(h.second));
+  return out;
 }
 
 /// Kill-and-resume CI hook: _exit(137) right after the Nth publish, the
@@ -94,25 +114,18 @@ std::optional<std::string> write_snapshot(const Options& opts,
   namespace fs = std::filesystem;
   const fs::path path =
       fs::path(opts.dir) / snapshot_name(config_fingerprint, cycle);
-  // atomic_write_file fsyncs the temp file before the rename (docs/harness.md
+  // write_file fsyncs the temp file before the rename (docs/harness.md
   // §durability): after it returns true the snapshot is complete on disk,
   // and a crash mid-write leaves only the previous snapshots behind.
-  if (!harness::atomic_write_file(path.string(), bytes)) return std::nullopt;
+  if (!write_file(path.string(), bytes)) return std::nullopt;
 
   // Prune: keep the newest opts.keep snapshots of this fingerprint. Errors
   // here are ignored — retention is best-effort, correctness only needs the
   // newly published file.
   const unsigned keep = std::max(2u, opts.keep);
-  std::vector<std::pair<Cycle, fs::path>> have;
+  const auto have = list_snapshots(opts.dir, config_fingerprint);
   std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(opts.dir, ec)) {
-    Cycle c = 0;
-    if (parse_name(ent.path().filename().string(), config_fingerprint, c))
-      have.emplace_back(c, ent.path());
-  }
-  std::sort(have.begin(), have.end());
-  for (std::size_t i = 0; i + keep < have.size(); ++i)
-    fs::remove(have[i].second, ec);
+  for (std::size_t i = 0; i + keep < have.size(); ++i) fs::remove(have[i], ec);
 
   maybe_exit_after_publish();
   return path.string();
@@ -161,45 +174,24 @@ std::optional<Snapshot> load_file(const std::string& path,
 std::optional<Snapshot> load_latest(const std::string& dir,
                                     std::uint64_t config_fingerprint,
                                     std::vector<std::string>* skipped) {
-  namespace fs = std::filesystem;
-  std::vector<std::pair<Cycle, fs::path>> have;
-  std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(dir, ec)) {
-    Cycle c = 0;
-    if (parse_name(ent.path().filename().string(), config_fingerprint, c))
-      have.emplace_back(c, ent.path());
-  }
+  const auto have = list_snapshots(dir, config_fingerprint);
   // Newest first: the first file that validates wins; invalid newer files
   // (torn by a crash mid-publish on a non-atomic filesystem, truncated by a
   // full disk, hand-damaged) are skipped, falling back to older snapshots.
-  std::sort(have.begin(), have.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [cycle, path] : have) {
-    (void)cycle;
+  for (auto it = have.rbegin(); it != have.rend(); ++it) {
     std::string why;
-    if (auto s = load_file(path.string(), config_fingerprint, &why)) return s;
-    if (skipped != nullptr) skipped->push_back(path.string() + ": " + why);
+    if (auto s = load_file(it->string(), config_fingerprint, &why)) return s;
+    if (skipped != nullptr) skipped->push_back(it->string() + ": " + why);
   }
   return std::nullopt;
 }
 
 std::vector<Snapshot> load_all(const std::string& dir,
                                std::uint64_t config_fingerprint) {
-  namespace fs = std::filesystem;
-  std::vector<std::pair<Cycle, fs::path>> have;
-  std::error_code ec;
-  for (const auto& ent : fs::directory_iterator(dir, ec)) {
-    Cycle c = 0;
-    if (parse_name(ent.path().filename().string(), config_fingerprint, c))
-      have.emplace_back(c, ent.path());
-  }
-  std::sort(have.begin(), have.end());
   std::vector<Snapshot> out;
-  for (const auto& [cycle, path] : have) {
-    (void)cycle;
+  for (const auto& path : list_snapshots(dir, config_fingerprint))
     if (auto s = load_file(path.string(), config_fingerprint))
       out.push_back(std::move(*s));
-  }
   return out;
 }
 

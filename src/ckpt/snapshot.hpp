@@ -1,6 +1,6 @@
 // tdn::ckpt — crash-safe snapshot files for long serving runs.
 //
-// On-disk format (version 1), written via harness::atomic_write_file
+// On-disk format (version 1), written via tdn::write_file
 // (unique temp file + fsync + atomic rename, so a host crash or SIGKILL
 // can publish either the previous file or the complete new one, never a
 // torn hybrid):

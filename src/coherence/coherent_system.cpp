@@ -162,7 +162,7 @@ void CoherentSystem::start_miss(CoreId core, Addr vaddr, Addr line,
         // The replay is the same demand access: it must not re-count stats.
         if (attr_ != nullptr)
           attr_->on_complete(core, line, issued_at, eq_.now());
-        stats_.miss_latency.add(static_cast<double>(eq_.now() - issued_at));
+        stats_.miss_latency.add(eq_.now() - issued_at);
         access_internal(core, vaddr, line, kind, std::move(done),
                         /*replay=*/true);
       });
@@ -207,7 +207,7 @@ void CoherentSystem::launch_transaction(CoreId core, Addr vaddr, Addr line,
                     [this, core, line, kind] { bypass_fetch(core, line, kind, eq_.now()); });
     return;
   }
-  stats_.nuca_distance.add(static_cast<double>(mesh_.hops(core, d.bank)));
+  stats_.nuca_distance.add(mesh_.hops(core, d.bank));
   if (attr_ != nullptr)
     attr_->on_launch(core, line, issued_at, send_at, mesh_.hops(core, d.bank));
   eq_.schedule_at(send_at, [this, core, line, kind, bank = d.bank] {
@@ -436,18 +436,18 @@ void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
   if (view_.num_apps > 0) ln.meta.app = app_of(requester);
   if (!evicted) return;
   stats_.llc_evictions.inc();
-  const Addr va = evicted->addr;
-  const LlcMeta vm = evicted->meta;
-  // Inclusive LLC: displace any L1 copies (back-invalidation). Owners write
-  // their dirty data straight to memory.
-  CoreMask copies = vm.sharers;
-  if (vm.owner != kInvalidCore) copies.set(vm.owner);
+  displace_line(bank, evicted->addr, evicted->meta);
+}
+
+void CoherentSystem::displace_line(BankId bank, Addr la, const LlcMeta& m) {
+  CoreMask copies = m.sharers;
+  if (m.owner != kInvalidCore) copies.set(m.owner);
   copies.for_each([&](CoreId t) {
-    net_.send(bank, t, MsgClass::Control, [this, t, va] {
-      l1_invalidate(t, va, /*writeback_to_memory=*/true);
+    net_.send(bank, t, MsgClass::Control, [this, t, la] {
+      l1_invalidate(t, la, /*writeback_to_memory=*/true);
     });
   });
-  if (vm.dirty) memory_writeback(bank, va);
+  if (m.dirty) memory_writeback(bank, la);
 }
 
 void CoherentSystem::wait_on(OpenLine& o, sim::Action&& fn) {
@@ -553,17 +553,9 @@ void CoherentSystem::evacuate_line(BankId bank, Addr la, const LlcMeta& m) {
     ++health_->counters.evacuated_lines;
     if (m.dirty) ++health_->counters.evacuated_dirty;
   }
-  // Inclusive LLC: tracked L1 copies lose their home and are displaced, the
-  // way a capacity eviction displaces them; owners write dirty data back to
-  // memory on the invalidation.
-  CoreMask copies = m.sharers;
-  if (m.owner != kInvalidCore) copies.set(m.owner);
-  copies.for_each([&](CoreId t) {
-    net_.send(bank, t, MsgClass::Control, [this, t, la] {
-      l1_invalidate(t, la, /*writeback_to_memory=*/true);
-    });
-  });
-  if (m.dirty) memory_writeback(bank, la);
+  // Tracked L1 copies lose their home and are displaced, the way a capacity
+  // eviction displaces them.
+  displace_line(bank, la, m);
 }
 
 // --------------------------------------------------------------------------

@@ -208,8 +208,9 @@ class CoherentSystem final : public nuca::CacheOps {
   /// return the hierarchy to its post-construction state: every L1 and LLC
   /// bank array emptied, replacement trees rewound, bank service horizons
   /// and per-bank app affinity cleared. Run in BOTH lineages — the
-  /// continuing run and the restored run — so "continue after the fold" and
-  /// "rebuild from the snapshot" are the same machine by construction.
+  /// continuing run and the restored run — so "continue after the
+  /// checkpoint" and "rebuild from the snapshot" are the same machine by
+  /// construction. Counters are left alone.
   /// Refuses (TDN_REQUIRE) if any MSHR entry or blocked-directory line is
   /// still live: that means quiescence detection was wrong, and snapshotting
   /// would tear a transaction.
@@ -218,7 +219,6 @@ class CoherentSystem final : public nuca::CacheOps {
       TDN_REQUIRE(l1.mshr.outstanding() == 0,
                   "ckpt_cold_reset: MSHR entries still in flight");
       l1.array.reset_all();
-      l1.flush_busy = 0;
     }
     for (auto& bank : banks_) {
       TDN_REQUIRE(bank.open.empty(),
@@ -227,17 +227,6 @@ class CoherentSystem final : public nuca::CacheOps {
       bank.next_free = 0;
       bank.last_app = kNoApp;
     }
-  }
-  /// Fold-and-reset every hierarchy statistic (aggregate Stats, per-bank
-  /// breakdown, per-app counters). The caller folds the emitted values into
-  /// its baseline first; see serve::ServeSystem checkpoint fold.
-  void ckpt_reset_stats() {
-    stats_ = Stats{};
-    for (auto& bank : banks_) {
-      bank.counters = BankCounters{};
-      bank.cross_app_conflicts = 0;
-    }
-    for (auto& ac : app_counters_) ac = AppCounters{};
   }
 
  private:
@@ -311,6 +300,10 @@ class CoherentSystem final : public nuca::CacheOps {
   void bank_fetch_from_memory(BankId bank, CoreId requester, Addr line,
                               AccessKind kind);
   void bank_install(BankId bank, CoreId requester, Addr line);
+  /// A line leaves @p bank (capacity eviction or evacuation): the inclusive
+  /// LLC back-invalidates its L1 copies, whose owners write dirty data
+  /// straight to memory, and a dirty LLC copy goes to memory too.
+  void displace_line(BankId bank, Addr la, const LlcMeta& m);
   void bank_unblock(BankId bank, Addr line);
   void bank_writeback(BankId bank, CoreId from, Addr line);
 

@@ -1,5 +1,5 @@
-// Minimal JSON formatting helpers shared by the stats registry and the
-// observability sinks. Emission only — the simulator never parses JSON.
+// Minimal JSON formatting helpers shared by the harness's latency report and
+// the observability sinks. Emission only — the simulator never parses JSON.
 #pragma once
 
 #include <cmath>

@@ -55,7 +55,6 @@ void SimCore::step() {
         const unsigned window = op.mlp != 0 ? op.mlp : cfg_.load_window;
         if (loads_in_flight_ >= window) {
           // Load window full: stall until an outstanding load returns.
-          lw_stalls_.inc();
           stalled_on_load_window_ = true;
           resume_load_ = [this, op, paddr] { issue_load(op, paddr); };
           return;
@@ -70,7 +69,6 @@ void SimCore::step() {
       if (stores_in_flight_ >= cfg_.store_buffer_entries) {
         // Store buffer full: stall until a slot frees (resume handled by the
         // completion callback of an outstanding store).
-        sb_stalls_.inc();
         stalled_on_store_buffer_ = true;
         // Re-issue this store when unstalled: wrap the op in a resume
         // closure.

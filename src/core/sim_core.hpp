@@ -75,12 +75,6 @@ class SimCore {
   /// hit. The obs critical-path analysis splits the executed span into this
   /// plus memory stall. Valid after execute()'s done callback fires.
   Cycle task_ideal_cycles() const noexcept { return task_ideal_; }
-  std::uint64_t store_buffer_stalls() const noexcept {
-    return sb_stalls_.value();
-  }
-  std::uint64_t load_window_stalls() const noexcept {
-    return lw_stalls_.value();
-  }
 
  private:
   void step();
@@ -113,8 +107,6 @@ class SimCore {
 
   stats::Counter loads_;
   stats::Counter stores_;
-  stats::Counter sb_stalls_;
-  stats::Counter lw_stalls_;
   Cycle busy_cycles_ = 0;
   Cycle task_cycles_ = 0;
 };

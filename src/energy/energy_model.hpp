@@ -42,11 +42,11 @@ struct EnergyBreakdown {
 };
 
 /// The raw event counts the model consumes, decoupled from the live
-/// objects. Checkpoint folds (tdn::ckpt) sum a baseline's counts with the
-/// post-restore counts *as integers* and evaluate the model once on the
-/// combined inputs — the only way the interrupted+resumed lineage's energy
-/// is bit-identical to the uninterrupted one (evaluating the linear model
-/// per segment and adding the doubles is not associative).
+/// objects. A restored run (tdn::ckpt) sums its snapshot baseline's counts
+/// with the post-restore counts *as integers* and evaluates the model once
+/// on the combined inputs — the only way the interrupted+resumed lineage's
+/// energy is bit-identical to the uninterrupted one (evaluating the linear
+/// model per segment and adding the doubles is not associative).
 struct EnergyInputs {
   std::uint64_t llc_requests = 0;
   std::uint64_t llc_misses = 0;

@@ -75,20 +75,9 @@ void FaultInjector::replay(const FaultEvent& ev, Cycle resume) {
       health_.slow_bank(ev.unit % n, ev.factor);
       break;
     case FaultKind::LinkFail:
-    case FaultKind::LinkDegrade: {
-      const noc::Coord a{ev.ax, ev.ay};
-      const noc::Coord b{ev.bx, ev.by};
-      const CoreId ta = t_.mesh->tile(a);
-      const CoreId tb = t_.mesh->tile(b);
-      if (ev.kind == FaultKind::LinkFail) {
-        health_.fail_link(ta, dir_from_to(a, b));
-        health_.fail_link(tb, dir_from_to(b, a));
-      } else {
-        health_.degrade_link(ta, dir_from_to(a, b), ev.factor);
-        health_.degrade_link(tb, dir_from_to(b, a), ev.factor);
-      }
+    case FaultKind::LinkDegrade:
+      set_link(ev);
       break;
-    }
     case FaultKind::RrtFlip:
     case FaultKind::RrtEvict:
       // Transient soft errors against tables that were cold-cleared at the
@@ -104,6 +93,23 @@ void FaultInjector::replay(const FaultEvent& ev, Cycle resume) {
       ++health_.counters.dram_stalls;
       break;
     }
+  }
+}
+
+void FaultInjector::set_link(const FaultEvent& ev) {
+  const noc::Coord a{ev.ax, ev.ay};
+  const noc::Coord b{ev.bx, ev.by};
+  TDN_REQUIRE(a.x < t_.mesh->width() && a.y < t_.mesh->height() &&
+                  b.x < t_.mesh->width() && b.y < t_.mesh->height(),
+              "fault plan: link endpoint outside the mesh");
+  const CoreId ta = t_.mesh->tile(a);
+  const CoreId tb = t_.mesh->tile(b);
+  if (ev.kind == FaultKind::LinkFail) {
+    health_.fail_link(ta, dir_from_to(a, b));
+    health_.fail_link(tb, dir_from_to(b, a));
+  } else {
+    health_.degrade_link(ta, dir_from_to(a, b), ev.factor);
+    health_.degrade_link(tb, dir_from_to(b, a), ev.factor);
   }
 }
 
@@ -145,23 +151,9 @@ void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
       health_.slow_bank(ev.unit % n, ev.factor);
       break;
     case FaultKind::LinkFail:
-    case FaultKind::LinkDegrade: {
-      const noc::Coord a{ev.ax, ev.ay};
-      const noc::Coord b{ev.bx, ev.by};
-      TDN_REQUIRE(a.x < t_.mesh->width() && a.y < t_.mesh->height() &&
-                      b.x < t_.mesh->width() && b.y < t_.mesh->height(),
-                  "fault plan: link endpoint outside the mesh");
-      const CoreId ta = t_.mesh->tile(a);
-      const CoreId tb = t_.mesh->tile(b);
-      if (ev.kind == FaultKind::LinkFail) {
-        health_.fail_link(ta, dir_from_to(a, b));
-        health_.fail_link(tb, dir_from_to(b, a));
-      } else {
-        health_.degrade_link(ta, dir_from_to(a, b), ev.factor);
-        health_.degrade_link(tb, dir_from_to(b, a), ev.factor);
-      }
+    case FaultKind::LinkDegrade:
+      set_link(ev);
       break;
-    }
     case FaultKind::RrtFlip: {
       if (t_.tdnuca == nullptr) break;
       auto& rrt = t_.tdnuca->rrt(ev.unit % n);

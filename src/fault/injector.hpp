@@ -104,6 +104,8 @@ class FaultInjector {
   void apply(const FaultEvent& ev, std::size_t index);
   /// State-mutation-only replay of one already-fired event (see arm_from).
   void replay(const FaultEvent& ev, Cycle resume);
+  /// Fail or degrade both directions of a LinkFail/LinkDegrade event's link.
+  void set_link(const FaultEvent& ev);
   void scrub_rrt(CoreId core, AddrRange prange);
   void record(const FaultEvent& ev);
 

@@ -16,13 +16,6 @@
 
 namespace tdn::harness {
 
-/// Write @p content to @p path via a uniquely named temp file in the same
-/// directory plus an atomic rename: concurrent readers see either the old
-/// complete file or the new complete file, never a torn one. Parent
-/// directories are created on demand. Returns false on any I/O failure
-/// (nothing is left behind at @p path beyond what was already there).
-bool atomic_write_file(const std::string& path, const std::string& content);
-
 class ResultsCache {
  public:
   /// Directory from TDN_CACHE_DIR or the default; created on demand.

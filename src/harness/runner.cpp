@@ -10,6 +10,7 @@
 #include "common/jsonfmt.hpp"
 #include "common/prng.hpp"
 #include "common/require.hpp"
+#include "common/write_file.hpp"
 #include "harness/results_cache.hpp"
 #include "harness/sweep_runner.hpp"
 #include "multi/multi_system.hpp"
@@ -192,7 +193,7 @@ RunResult run_experiment(const RunConfig& cfg, bool use_cache,
     arts.heatmaps = rec.heatmap_count();
     auto emit = [&](const std::string& path, const std::string& content) {
       if (path.empty()) return;
-      if (obs::write_file(path, content)) arts.files_written.push_back(path);
+      if (write_file(path, content)) arts.files_written.push_back(path);
     };
     emit(cfg.obs.trace_path, rec.trace_json());
     emit(cfg.obs.epochs_csv_path, rec.epochs_csv());
@@ -218,8 +219,7 @@ RunResult run_experiment(const RunConfig& cfg, bool use_cache,
         os << "null";
       }
       os << "}\n";
-      if (atomic_write_file(cfg.obs.latency_report_path, os.str()))
-        arts.files_written.push_back(cfg.obs.latency_report_path);
+      emit(cfg.obs.latency_report_path, os.str());
     }
     if (artifacts != nullptr) *artifacts = std::move(arts);
   };

@@ -30,8 +30,9 @@ struct ObsOptions {
   std::string heatmaps_path;      ///< end-of-run heatmaps, aligned text
   std::string heatmaps_json_path; ///< end-of-run heatmaps, JSON
   /// tdn-obs-report-v1 JSON: latency attribution histograms + task
-  /// critical-path analysis (docs/observability.md). Written atomically
-  /// (harness::atomic_write_file), so a watcher never reads a torn report.
+  /// critical-path analysis (docs/observability.md). Like every artifact
+  /// above, written atomically (tdn::write_file), so a watcher never reads
+  /// a torn file.
   std::string latency_report_path;
   Cycle epoch_cycles = 10'000;
   bool trace_coherence = false;   ///< per-transaction instants (high volume)

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/require.hpp"
 
 namespace tdn::harness {
@@ -136,12 +135,6 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunConfig>& configs) {
       resolve_jobs(opts_.jobs),
       static_cast<unsigned>(std::max<std::size_t>(items.size(), 1)));
   stats_.jobs = jobs;
-
-  // Force logger initialization (TDN_LOG parse) on this thread before any
-  // worker exists; first-use init from a pool thread would still be safe
-  // (magic static + std::once_flag) but doing it here makes startup order
-  // deterministic.
-  log::init_from_env();
 
   Progress progress(opts_.progress, configs.size());
   std::atomic<std::size_t> next{0};

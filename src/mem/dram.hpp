@@ -49,16 +49,6 @@ class MemController {
     queue_sink_ = sink;
   }
 
-  // --- checkpoint fold (tdn::ckpt) -------------------------------------
-  /// Fold-and-reset traffic counters at a quiescent checkpoint boundary.
-  /// next_free_ is preserved deliberately: an injected stall horizon can
-  /// extend past the boundary, and the restore path replays it via
-  /// inject_stall so both lineages see the same horizon.
-  void ckpt_reset_stats() noexcept {
-    reads_.reset();
-    writes_.reset();
-  }
-
  private:
   DramConfig cfg_;
   Cycle next_free_ = 0;

@@ -157,8 +157,6 @@ class PageTable {
     map_.clear();
     advised_.clear();
   }
-  /// Reset monotonic allocator counters (checkpoint counter folding).
-  void ckpt_reset_stats() { huge_fallbacks_ = 0; }
 
  private:
   /// Legacy allocator: one base frame, with fragmentation injection.

@@ -103,20 +103,6 @@ class Network {
   }
   const NetworkConfig& config() const noexcept { return cfg_; }
 
-  // --- checkpoint fold (tdn::ckpt) -------------------------------------
-  /// Fold-and-reset all traffic statistics at a quiescent checkpoint
-  /// boundary. Link busy-until horizons are left alone: at quiescence
-  /// every horizon is <= now, so they never influence post-boundary
-  /// timing (the settle grace covers the serialization tail).
-  void ckpt_reset_stats() noexcept {
-    for (auto& per_dir : link_bytes_) per_dir.fill(0);
-    for (auto& b : per_router_bytes_) b = 0;
-    router_bytes_ = 0;
-    hops_total_ = 0;
-    messages_.reset();
-    data_messages_.reset();
-  }
-
  private:
   struct Link {
     Cycle next_free = 0;

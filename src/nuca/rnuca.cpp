@@ -12,7 +12,6 @@ void RNucaPolicy::flush_page(Addr page_base, CoreMask cores, BankMask banks) {
   if (!pt_.try_translate(page_base, pa))
     return;  // never materialized: nothing cached
   const AddrRange prange{pa, pa + pt_.page_span(page_base)};
-  page_flushes_.inc();
   if (!cores.empty()) ops_->flush_l1_range(cores, prange, [] {});
   if (!banks.empty()) ops_->flush_llc_range(banks, prange, [] {});
 }

@@ -81,18 +81,13 @@ class RNucaPolicy final : public MappingPolicy {
   std::uint64_t reclassifications() const noexcept {
     return reclassifications_.value();
   }
-  std::uint64_t page_flushes() const noexcept { return page_flushes_.value(); }
 
   // --- checkpoint cold-normalization (tdn::ckpt) ------------------------
-  /// Drop every page classification and fold-and-reset the counters. Run at
-  /// a quiescent checkpoint boundary in both lineages: the restored run's
-  /// page table starts unmapped, so stale classifications keyed by retired
-  /// vpages must not survive either.
-  void ckpt_reset() {
-    pages_.clear();
-    reclassifications_.reset();
-    page_flushes_.reset();
-  }
+  /// Drop every page classification. Run at a quiescent checkpoint
+  /// boundary in both lineages: the restored run's page table starts
+  /// unmapped, so stale classifications keyed by retired vpages must not
+  /// survive either.
+  void ckpt_reset() { pages_.clear(); }
 
  private:
   struct PageState {
@@ -116,7 +111,6 @@ class RNucaPolicy final : public MappingPolicy {
   /// and mixed In/Out data inside it collapses into one class.
   std::unordered_map<Addr, PageState> pages_;
   stats::Counter reclassifications_;
-  stats::Counter page_flushes_;
 };
 
 }  // namespace tdn::nuca

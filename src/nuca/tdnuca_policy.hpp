@@ -63,14 +63,11 @@ class TdNucaPolicy final : public MappingPolicy {
   unsigned max_rrt_occupancy() const;
 
   // --- checkpoint cold-normalization (tdn::ckpt) ------------------------
-  /// Drop every RRT entry (retired requests' registrations must not steer a
-  /// restored run) and fold-and-reset the lookup statistics. Quiescence
-  /// guarantees no dependency ranges are live, so clearing loses nothing.
+  /// Drop every RRT entry: retired requests' registrations must not steer a
+  /// restored run. Quiescence guarantees no dependency ranges are live, so
+  /// clearing loses nothing. The lookup statistics keep counting.
   void ckpt_reset() {
     for (auto& r : rrts_) r.clear();
-    rrt_hits_.reset();
-    rrt_misses_.reset();
-    occupancy_.reset();
   }
 
  private:

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/jsonfmt.hpp"
-#include "common/log.hpp"
 #include "common/require.hpp"
 #include "sim/event_queue.hpp"
 
@@ -211,22 +210,6 @@ std::string Recorder::heatmaps_json() {
   }
   os << (heatmaps_.empty() ? "}" : "\n}");
   return os.str();
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    TDN_LOG_AT(log::Sub::Obs, log::Level::Error,
-               "cannot open " << path << " for writing");
-    return false;
-  }
-  const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (n != content.size()) {
-    TDN_LOG_AT(log::Sub::Obs, log::Level::Error, "short write to " << path);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace tdn::obs

@@ -31,7 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/types.hpp"
+#include "common/write_file.hpp"
 #include "obs/attribution.hpp"
 #include "sim/inline_function.hpp"
 
@@ -100,7 +102,7 @@ class Recorder {
   using HeatmapFill =
       sim::InlineFunction<std::vector<double>(), kProbeCapacity>;
 
-  /// The clock `span_now`/`instant` stamp events with.
+  /// The clock `instant` stamps events with.
   void attach_clock(const sim::EventQueue* eq) noexcept { eq_ = eq; }
   void set_track_name(std::uint32_t tid, std::string name);
   /// Register an epoch time-series probe; called once per epoch in
@@ -121,11 +123,6 @@ class Recorder {
   Cycle now() const noexcept;
   void span(std::uint32_t tid, const char* cat, std::string name, Cycle start,
             Cycle dur, std::string args = {});
-  /// Span starting at the attached clock's current cycle.
-  void span_now(std::uint32_t tid, const char* cat, std::string name,
-                Cycle dur, std::string args = {}) {
-    span(tid, cat, std::move(name), now(), dur, std::move(args));
-  }
   void instant(std::uint32_t tid, const char* cat, std::string name,
                std::string args = {});
 
@@ -186,13 +183,15 @@ class Recorder {
   std::uint64_t tick_gen_ = 0;
 };
 
-/// Write @p content to @p path; returns false (and logs) on I/O failure.
-bool write_file(const std::string& path, const std::string& content);
+/// Artifacts are published through the one atomic writer. The name stays
+/// in this namespace because perfbench/tdn_perfbench.cpp calls
+/// obs::write_file.
+using tdn::write_file;
 
-/// Epoch-probe delta of a cumulative counter. A drop (a checkpoint fold
-/// reset the counter) counts from zero.
+/// Epoch-probe delta of a cumulative counter. No counter is ever reset.
 inline std::uint64_t since(std::uint64_t& prev, std::uint64_t cur) {
-  const std::uint64_t d = cur >= prev ? cur - prev : cur;
+  TDN_ASSERT(cur >= prev);
+  const std::uint64_t d = cur - prev;
   prev = cur;
   return d;
 }

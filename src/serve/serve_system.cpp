@@ -104,10 +104,10 @@ Cycle ServeSystem::run(Cycle cycle_limit) {
   // it must be part of the simulation proper (obs observer events must
   // never change behavior). The chain ends itself once the system drains.
   // Restored lineages re-arm both periodic chains at the exact absolute
-  // cycles recorded in the snapshot (a tick can be pending at the fold
-  // cycle itself when settle_grace exceeds the epoch) — and in this order,
-  // after arrivals and before the re-dispatch pump below, reproducing the
-  // original lineage's sequence-number tie order.
+  // cycles recorded in the snapshot (a tick can be pending at the
+  // checkpoint cycle itself when settle_grace exceeds the epoch) — and in
+  // this order, after arrivals and before the re-dispatch pump below,
+  // reproducing the original lineage's sequence-number tie order.
   if (!resumed_) {
     if (opts_.adaptive && !requests_.empty()) {
       tick_alive_ = true;
@@ -127,9 +127,9 @@ Cycle ServeSystem::run(Cycle cycle_limit) {
   }
   if (!resumed_ && requests_.empty()) completed_ = true;
   if (resumed_) {
-    // The snapshot captured the pending queue *before* the post-fold pump;
-    // the original lineage pumped inside the fold event, we pump here —
-    // same cycle, same dispatch order, same derived seeds.
+    // The snapshot captured the pending queue *before* the post-checkpoint
+    // pump; the original lineage pumped inside the checkpoint event, we pump
+    // here — same cycle, same dispatch order, same derived seeds.
     if (arrivals_remaining_ == 0 && pending_.empty() &&
         done_ + shed_ == offered_)
       completed_ = true;
@@ -313,7 +313,7 @@ void ServeSystem::on_complete(unsigned s, unsigned rid) {
 }
 
 void ServeSystem::pump() {
-  if (draining_) return;  // refills resume at the fold
+  if (draining_) return;  // refills resume at the checkpoint
   while (!pending_.empty()) {
     int free_slot = -1;
     for (unsigned s = 0; s < slots_.size(); ++s)
@@ -487,7 +487,7 @@ void ServeSystem::ckpt_settle() {
     eq_.schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
     return;
   }
-  ckpt_fold();
+  ckpt_take();
 }
 
 bool ServeSystem::quiescent() const {
@@ -504,15 +504,9 @@ bool ServeSystem::quiescent() const {
   return eq_.real_pending() == expected;
 }
 
-void ServeSystem::ckpt_fold() {
+void ServeSystem::ckpt_take() {
   TDN_ASSERT(draining_ && quiescent());
   const Cycle cyc = eq_.now();
-  // Per-slot AppView counters first: the machine fold resets them.
-  for (unsigned s = 0; s < opts_.slots; ++s) {
-    each_app_counter([](auto& a, const auto& b) { a += b; },
-                     slot_baseline_[s], machine_.caches().app_counters(s));
-  }
-  machine_.fold_counters();
   machine_.cold_normalize();
   // Quiescence proves no event references retired request state: dropping
   // the graveyard here (in both lineages) bounds a long run's memory.
@@ -549,8 +543,8 @@ std::string ServeSystem::encode_snapshot() const {
   e.u64(policy_switches_);
   e.u8(use_tdnuca_ ? 1 : 0);
   // Periodic chains: the *absolute* pending cycle (0 = chain dead). A tick
-  // can be pending at the fold cycle itself (settle_grace > epoch), so this
-  // must be recorded, never re-derived from the cadence.
+  // can be pending at the checkpoint cycle itself (settle_grace > epoch), so
+  // this must be recorded, never re-derived from the cadence.
   e.u64(tick_alive_ ? next_tick_at_ : 0);
   e.u64(marker_alive_ ? next_marker_at_ : 0);
   e.u64_vec(epoch_admitted_);
@@ -569,7 +563,10 @@ std::string ServeSystem::encode_snapshot() const {
   e.u64(slots_.size());
   for (unsigned s = 0; s < slots_.size(); ++s) {
     e.u64(slots_[s].generation);
-    each_app_counter([&e](std::uint64_t v) { e.u64(v); }, slot_baseline_[s]);
+    coherence::CoherentSystem::AppCounters t = slot_baseline_[s];
+    each_app_counter([](auto& a, const auto& b) { a += b; }, t,
+                     machine_.caches().app_counters(s));
+    each_app_counter([&e](std::uint64_t v) { e.u64(v); }, t);
   }
   machine_.encode_baseline(e);
   return e.take();
@@ -656,8 +653,8 @@ stats::Registry ServeSystem::collect_stats() const {
   stats::Registry r;
   r.set("sim.cycles", static_cast<double>(makespan_));
   r.set("tasks.completed", static_cast<double>(tasks_total_));
-  // Machine totals are `baseline + fresh`: checkpoint folds move the live
-  // counters into the machine's baseline and reset them.
+  // Machine totals are `baseline + fresh`; the baseline is nonzero only in
+  // a run restored from a snapshot.
   machine_.add_stats(r);
 
   // --- serving aggregates ------------------------------------------------
@@ -714,7 +711,7 @@ stats::Registry ServeSystem::collect_stats() const {
     emit_hist(p + ".queue_wait", q.queue_wait);
   }
 
-  // Per-slot LLC view (the AppView counters, plus their folded baselines).
+  // Per-slot LLC view (the AppView counters, plus their restored baselines).
   for (unsigned s = 0; s < opts_.slots; ++s) {
     const auto& ac = machine_.caches().app_counters(s);
     const auto& sb = slot_baseline_[s];

@@ -29,14 +29,15 @@
 //
 // Checkpoint/restore (tdn::ckpt, docs/serving.md §checkpointing): with
 // set_checkpoint(), the run periodically drains to a dispatch-boundary
-// quiescent point (no slot busy, no transaction in flight), folds every
-// machine counter into the machine's baseline, cold-normalizes the machine
-// (arrays, TLBs, RRTs, page classifications, VA mappings) and publishes a
-// crash-safe snapshot of the logical serving state. Because the continuing
-// run performs the *same* fold and cold-reset it snapshots, a run restored
-// from any snapshot replays the identical event stream: end-of-run metrics —
-// counts, means, energies, and every tail percentile — are bit-identical to
-// the uninterrupted run's. Checkpoint cadence is simulated behavior and enters
+// quiescent point (no slot busy, no transaction in flight), cold-normalizes
+// the machine (arrays, TLBs, RRTs, page classifications, VA mappings) and
+// publishes a crash-safe snapshot of the logical serving state, which
+// records the machine's and the slots' running counter totals. Because the
+// continuing run performs the *same* cold reset it snapshots, a run restored
+// from any snapshot replays the identical event stream, and seeding its
+// counters with the snapshot's totals makes end-of-run metrics — counts,
+// means, energies, and every tail percentile — bit-identical to the
+// uninterrupted run's. Checkpoint cadence is simulated behavior and enters
 // the fingerprint via ckpt::Options::canonical().
 #pragma once
 
@@ -191,9 +192,9 @@ class ServeSystem {
   /// event is expected future work (arrivals, the tick/marker chains,
   /// unfired fault-plan events) rather than an in-flight transaction.
   bool quiescent() const;
-  /// At the quiescent point: fold+reset counters, cold-normalize, publish
-  /// the snapshot, then resume dispatching (or throw on an interrupt).
-  void ckpt_fold();
+  /// At the quiescent point: cold-normalize, publish the snapshot, then
+  /// resume dispatching (or throw on an interrupt).
+  void ckpt_take();
   std::string encode_snapshot() const;
   /// Begin an off-cadence emergency drain when a SIGINT/SIGTERM handler
   /// raised the ckpt interrupt flag.
@@ -239,13 +240,13 @@ class ServeSystem {
   // --- checkpoint state ---------------------------------------------------
   ckpt::Options ckpt_;
   std::uint64_t ckpt_fingerprint_ = 0;
-  bool draining_ = false;   ///< dispatching suspended until the next fold
+  bool draining_ = false;   ///< dispatching suspended until the checkpoint
   bool emergency_ = false;  ///< this drain answers an interrupt request
   bool marker_alive_ = false;  ///< a cadence marker is scheduled
   Cycle next_marker_at_ = 0;   ///< its absolute cycle (valid when alive)
   std::uint64_t snapshots_written_ = 0;
-  /// Per-slot AppView counters folded at checkpoint boundaries (they feed
-  /// the serve.slotN.llc.* keys).
+  /// Per-slot AppView counter totals of a restored snapshot; zero otherwise
+  /// (they feed the serve.slotN.llc.* keys).
   std::vector<coherence::CoherentSystem::AppCounters> slot_baseline_;
   bool resumed_ = false;
   Cycle resume_cycle_ = 0;

@@ -1,14 +1,8 @@
 #include "stats/registry.hpp"
 
-#include <sstream>
-
-#include "common/jsonfmt.hpp"
-
 namespace tdn::stats {
 
 void Registry::set(const std::string& key, double value) { values_[key] = value; }
-
-void Registry::add(const std::string& key, double value) { values_[key] += value; }
 
 double Registry::get(const std::string& key) const {
   auto it = values_.find(key);
@@ -16,34 +10,5 @@ double Registry::get(const std::string& key) const {
 }
 
 bool Registry::has(const std::string& key) const { return values_.count(key) != 0; }
-
-double Registry::sum_prefix(const std::string& prefix) const {
-  double sum = 0.0;
-  for (auto it = values_.lower_bound(prefix); it != values_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    sum += it->second;
-  }
-  return sum;
-}
-
-std::string Registry::to_csv() const {
-  std::ostringstream os;
-  os << "key,value\n";
-  for (const auto& [k, v] : values_) os << k << "," << v << "\n";
-  return os.str();
-}
-
-std::string Registry::to_json() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : values_) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k)
-       << "\": " << json_number(v);
-    first = false;
-  }
-  os << (first ? "}" : "\n}");
-  return os.str();
-}
 
 }  // namespace tdn::stats

@@ -11,20 +11,10 @@ namespace tdn::stats {
 class Registry {
  public:
   void set(const std::string& key, double value);
-  void add(const std::string& key, double value);
 
   double get(const std::string& key) const;             ///< 0.0 if absent.
   bool has(const std::string& key) const;
   const std::map<std::string, double>& all() const { return values_; }
-
-  /// Sum of all keys with the given prefix (e.g. "llc.bank" sums all banks).
-  /// Iterates only the [lower_bound(prefix), first non-match) range — the
-  /// map is ordered, so matching keys are contiguous.
-  double sum_prefix(const std::string& prefix) const;
-
-  std::string to_csv() const;
-  /// Flat JSON object, keys sorted; non-finite values serialize as null.
-  std::string to_json() const;
 
  private:
   std::map<std::string, double> values_;

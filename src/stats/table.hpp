@@ -17,7 +17,6 @@ class Table {
   static std::string num(double v, int precision = 3);
 
   std::string to_string() const;
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;

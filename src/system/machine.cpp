@@ -368,8 +368,7 @@ fault::Watchdog* Machine::arm_watchdog(
   watchdog_ =
       std::make_unique<fault::Watchdog>(eq_, cfg_.fault.watchdog_budget);
   // Any memory-system traffic or program progress within a budget window
-  // counts. A checkpoint fold resets the cache counters, which the
-  // inequality test also counts as progress (a fold is progress).
+  // counts. Every term is a running total that no checkpoint resets.
   watchdog_->set_progress([this, program = std::move(program_progress)] {
     const auto& cs = caches_->stats();
     return program() + mcs_->total_accesses() + caches_->llc_accesses() +
@@ -440,10 +439,10 @@ Machine::Counters Machine::fresh() const {
   c.bypass_reads = cs.bypass_reads.value();
   c.noc_messages = net_->messages();
   c.en = energy::energy_inputs(*caches_, *net_, *mcs_, rrt_lookups);
-  c.nuca_total = cs.nuca_distance.total();
-  c.nuca_weight = cs.nuca_distance.weight();
-  c.miss_lat_total = cs.miss_latency.total();
-  c.miss_lat_weight = cs.miss_latency.weight();
+  c.nuca_total = static_cast<double>(cs.nuca_distance.total());
+  c.nuca_weight = static_cast<double>(cs.nuca_distance.samples());
+  c.miss_lat_total = static_cast<double>(cs.miss_latency.total());
+  c.miss_lat_weight = static_cast<double>(cs.miss_latency.samples());
   for (const auto& core : cores_) {
     const vm::Mmu& m = core->mmu();
     c.tlb_hits += m.tlb_hits();
@@ -494,7 +493,7 @@ void Machine::add_stats(stats::Registry& r) const {
   r.set("noc.messages", static_cast<double>(t.noc_messages));
   r.set("dram.accesses", static_cast<double>(t.en.dram_accesses));
   // The page census is state, not a counter: mappings and the buddy pool
-  // need no folding.
+  // need no baseline.
   r.set("tlb.hits", static_cast<double>(t.tlb_hits));
   r.set("tlb.misses", static_cast<double>(t.tlb_misses));
   r.set("mem.tlb_shootdowns", static_cast<double>(t.tlb_shootdowns));
@@ -578,17 +577,6 @@ void Machine::add_fault_stats(stats::Registry& r) const {
         static_cast<double>(injector_->health().num_healthy()));
 }
 
-void Machine::fold_counters() {
-  // The event count is not folded: the queue never resets it.
-  const Counters f = fresh();
-  each([](auto& a, const auto& b) { a += b; }, base_, f);
-  for (auto& c : cores_) c->mmu().ckpt_reset_stats();
-  page_table_.ckpt_reset_stats();
-  caches_->ckpt_reset_stats();
-  net_->ckpt_reset_stats();
-  for (unsigned m = 0; m < mcs_->count(); ++m) mcs_->mc(m).ckpt_reset_stats();
-}
-
 void Machine::cold_normalize() {
   caches_->ckpt_cold_reset();
   // Stale TLB entries can never *match* a future request's slice (slices
@@ -597,22 +585,24 @@ void Machine::cold_normalize() {
   // In vm mode this also clears the paging-structure caches, matching the
   // freshly constructed walkers on the restored side.
   for (auto& c : cores_) c->mmu().ckpt_cold_reset();
-  // RRT lookup counts reset here too; fold_counters already took them.
   for (const auto& set : policies_) {
     if (set->tdnuca) set->tdnuca->ckpt_reset();
     if (set->rnuca) set->rnuca->ckpt_reset();
   }
   page_table_.ckpt_drop_mappings();
+  // NoC link and DRAM busy horizons stay: at quiescence every link horizon
+  // is <= now, and a DRAM stall reaching past the boundary is replayed on
+  // restore (FaultInjector::arm_from), so both lineages see the same one.
 }
 
 void Machine::encode_baseline(ckpt::Encoder& e) const {
-  // Fresh counters were just folded and reset, so the baseline alone is the
-  // cumulative machine history. The events field carries a +1
-  // compensation: the fold event executing right now is counted by the
-  // live queue only after its action returns, but it belongs to the
+  // The totals are the cumulative machine history. The events field carries
+  // a +1 compensation: the checkpoint event executing right now is counted
+  // by the live queue only after its action returns, but it belongs to the
   // restored lineage's past.
   e.u64(base_events_ + eq_.executed() + 1);
-  each([&e](const auto& v) { put(e, v); }, base_);
+  const Counters t = total();
+  each([&e](const auto& v) { put(e, v); }, t);
   // Derived-PRNG position of the page allocator: a restored run's
   // first-touch allocations continue the exact fragmentation sample
   // sequence the snapshotted lineage would have drawn.

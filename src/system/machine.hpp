@@ -15,10 +15,11 @@
 //   m.build(*p.active, p.tdnuca.get());  // caches, cores, faults, obs
 //   Program prog = m.make_program(p.tdnuca.get(), cores, 0);
 //
-// Counters: every key the machine exports is `baseline + fresh`. Only a
-// checkpoint fold (fold_counters, used by ServeSystem) moves counts into the
-// baseline. Without a fold the baseline is zero and every `0 + x` is exact,
-// so such a front-end reports exactly its live counters.
+// Counters: every key the machine exports is `baseline + fresh`. No layer
+// ever resets a counter, so a snapshot records the running totals, and only
+// a run restored from one (decode_baseline, used by ServeSystem) has a
+// nonzero baseline: the counts of its lineage before the snapshot. Every
+// other run reports exactly its live counters.
 #pragma once
 
 #include <cstdint>
@@ -135,9 +136,9 @@ class Machine {
                         const tdnuca::TdNucaRuntimeHooks* hooks) const;
 
   // --- statistics -------------------------------------------------------
-  // Each front-end calls the pieces its key set has. add_stats folds the
-  // checkpoint baseline in; the other pieces read live counters only, so a
-  // front-end that folds must not call them.
+  // Each front-end calls the pieces its key set has. add_stats adds the
+  // restored baseline in; the other pieces read live counters only, so a
+  // front-end that restores snapshots must not call them.
   /// sim.events, l1.*, llc.* totals, nuca/noc/dram, TLB and page-table
   /// aggregates, vm.* (when enabled) and energy.*.
   void add_stats(stats::Registry& r) const;
@@ -149,15 +150,15 @@ class Machine {
   void add_fault_stats(stats::Registry& r) const;
   energy::EnergyBreakdown energy(const energy::EnergyParams& params = {}) const;
 
-  // --- checkpoint fold (tdn::ckpt) --------------------------------------
-  /// Fold every machine counter into the baseline and reset it.
-  void fold_counters();
+  // --- checkpoint (tdn::ckpt) --------------------------------------------
   /// Return caches, TLBs, RRTs, page classifications and VA mappings to
-  /// their post-construction state (the allocator position survives).
+  /// their post-construction state (the allocator position and every
+  /// counter survive).
   void cold_normalize();
-  /// The machine half of a snapshot payload: the baseline and the page
-  /// allocator state. Call from inside the fold event.
+  /// The machine half of a snapshot payload: the counter totals and the
+  /// page allocator state. Call from inside the checkpoint event.
   void encode_baseline(ckpt::Encoder& e) const;
+  /// Seed the baseline with a snapshot's totals and restore the allocator.
   void decode_baseline(ckpt::Decoder& d);
 
   // --- components -------------------------------------------------------
@@ -187,13 +188,13 @@ class Machine {
   void wire_faults(nuca::TdNucaPolicy* rrt);
   void register_observability();
 
-  /// Every counter a checkpoint fold moves into the baseline. Double
-  /// accumulation is not associative, which is why a continuing run folds
-  /// too: both lineages then compute each metric from identical operands.
+  /// Every counter a snapshot records. The doubles hold integer sums far
+  /// below 2^53, so a restored baseline plus the counts after it is exactly
+  /// the total an uninterrupted run reaches.
   struct Counters {
     std::uint64_t llc_hits = 0, bypass_reads = 0, noc_messages = 0;
     energy::EnergyInputs en;  ///< l1/llc/flush/noc/dram/rrt event counts
-    double nuca_total = 0.0, nuca_weight = 0.0;  ///< Sampled sums, weights
+    double nuca_total = 0.0, nuca_weight = 0.0;  ///< Sampled sums, samples
     double miss_lat_total = 0.0, miss_lat_weight = 0.0;
     // Translation, summed over every core's MMU.
     std::uint64_t tlb_hits = 0, tlb_misses = 0, tlb_shootdowns = 0;
@@ -219,7 +220,7 @@ class Machine {
   std::vector<std::unique_ptr<core::SimCore>> cores_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::Watchdog> watchdog_;
-  Counters base_;
+  Counters base_;  ///< totals before a restore; zero otherwise
   std::uint64_t base_events_ = 0;  ///< events executed before a restore
 };
 

@@ -78,7 +78,7 @@ class Rrt {
   std::uint64_t overlap_trims() const noexcept { return overlap_trims_.value(); }
   /// Sample current occupancy into an external aggregate.
   void sample_occupancy(stats::Sampled& agg) const {
-    agg.add(static_cast<double>(entries_.size()));
+    agg.add(entries_.size());
   }
 
  private:

@@ -65,14 +65,8 @@ class Mmu {
   /// counting shootdowns. The continuing lineage must end up in the same
   /// state as a freshly restored one, and a restored lineage's TLBs start
   /// empty, so counting here would make the shootdown metric depend on
-  /// occupancy at the fold and break resume bit-identity.
+  /// occupancy at the checkpoint and break resume bit-identity.
   void ckpt_cold_reset();
-  /// Zero every translation counter (checkpoint counter folding: the caller
-  /// accumulates them into a snapshotted baseline first).
-  void ckpt_reset_stats() noexcept {
-    tlbs_.reset_stats();
-    walker_.reset_stats();
-  }
 
   // --- statistics (the L2 and walker counters stay 0 in legacy mode) -----
   std::uint64_t tlb_hits() const noexcept { return tlbs_.hits(); }

@@ -70,10 +70,6 @@ class PageWalker {
   /// ISA-path walk cycles charged synchronously.
   Cycle charge_cycles() const noexcept { return charge_cycles_; }
   std::uint64_t psc_hits() const noexcept { return psc_hits_; }
-  void reset_stats() {
-    walks_ = walk_loads_ = psc_hits_ = 0;
-    walk_cycles_ = charge_cycles_ = 0;
-  }
 
  private:
   /// Radix levels are numbered 1 (leaf PTE) .. 4 (PML4E); a page of size S

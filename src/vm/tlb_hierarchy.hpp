@@ -79,18 +79,14 @@ class TlbHierarchy {
   void invalidate_page(Addr vaddr);
   /// Drop every entry WITHOUT counting shootdowns. Checkpoint cold
   /// normalization is a simulation artifact, not an architectural event,
-  /// and the count must not depend on occupancy at the fold (a restored
-  /// lineage's TLB is empty where the continuing one's was warm).
+  /// and the count must not depend on occupancy at the checkpoint (a
+  /// restored lineage's TLB is empty where the continuing one's was warm).
   void ckpt_cold_reset();
 
   std::uint64_t l2_hits() const noexcept { return l2_hits_; }
   std::uint64_t hits() const noexcept { return l1_hits_ + l2_hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t shootdowns() const noexcept { return shootdowns_; }
-  /// Zero the counters (checkpoint counter folding); entries are untouched.
-  void reset_stats() noexcept {
-    l1_hits_ = l2_hits_ = misses_ = shootdowns_ = 0;
-  }
 
  private:
   TlbArray& l1_for(Addr span);

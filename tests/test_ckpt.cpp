@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,10 @@
 #include "harness/runner.hpp"
 #include "multi/mix.hpp"
 #include "obs/latency_histogram.hpp"
+#include "obs/recorder.hpp"
 #include "serve/serve_system.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/registry.hpp"
 #include "workloads/workload.hpp"
 
 using namespace tdn;
@@ -478,6 +481,75 @@ TEST(CkptServe, WatchdogIsArmedAndQuietInServingRuns) {
   ASSERT_NE(sys.watchdog(), nullptr);
   EXPECT_FALSE(sys.watchdog()->fired());
   EXPECT_GT(sys.watchdog()->ticks(), 0u);
+}
+
+// No checkpoint resets a counter, so a checkpointed serving run's
+// observation adds up to its metrics: the bank-access heatmap to
+// llc.accesses and the per-core TLB-miss epoch series to tlb.misses. The
+// config is the checkpointed serving row of the determinism goldens.
+TEST(CkptServe, ObservationAgreesWithMetrics) {
+  TempDir dir("observe");
+  harness::RunConfig cfg;
+  cfg.workload = "gauss+histo";
+  cfg.policy = system::PolicyKind::TdNuca;
+  cfg.serve.arrival = "poisson:gap=40k";
+  cfg.serve.request_scale = 0.02;
+  cfg.ckpt.every = 200'000;
+  cfg.ckpt.dir = dir.path;
+  system::SystemConfig sys_cfg = cfg.sys;
+  sys_cfg.policy = cfg.policy;
+  obs::RecorderConfig rc;
+  rc.epochs = true;
+  rc.heatmaps = true;
+  obs::Recorder rec(rc);
+  ServeSystem sys(sys_cfg, multi::MixSpec::parse(cfg.workload), cfg.serve,
+                  &rec);
+  sys.build(cfg.params);
+  sys.set_checkpoint(cfg.ckpt, cfg.fingerprint());
+  sys.run();
+  ASSERT_TRUE(sys.completed());
+  EXPECT_GE(sys.snapshots_written(), 2u);
+  const stats::Registry m = sys.collect_stats();
+
+  // Heatmap cells: the numbers of the named map's "rows" array.
+  const std::string hm = rec.heatmaps_json();
+  const std::size_t at = hm.find("\"llc_bank_accesses\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t rows = hm.find("[[", at);
+  const std::size_t end = hm.find("]]", rows);
+  ASSERT_NE(end, std::string::npos);
+  std::string cells = hm.substr(rows, end - rows);
+  for (char& c : cells)
+    if (c == '[' || c == ']' || c == ',') c = ' ';
+  double bank_accesses = 0.0;
+  std::istringstream in(cells);
+  for (double v; in >> v;) bank_accesses += v;
+  EXPECT_GT(m.get("llc.accesses"), 0.0);
+  EXPECT_EQ(bank_accesses, m.get("llc.accesses"));
+
+  // Epoch CSV: sum every row of the mem.coreN.tlb_misses columns.
+  std::istringstream csv(rec.epochs_csv());
+  std::string line;
+  std::getline(csv, line);
+  std::vector<bool> tlb_col;
+  {
+    std::istringstream header(line);
+    const std::string suffix = ".tlb_misses";
+    for (std::string name; std::getline(header, name, ',');)
+      tlb_col.push_back(name.rfind("mem.core", 0) == 0 &&
+                        name.size() > suffix.size() &&
+                        name.compare(name.size() - suffix.size(),
+                                     suffix.size(), suffix) == 0);
+  }
+  double tlb_misses = 0.0;
+  while (std::getline(csv, line)) {
+    std::istringstream row(line);
+    std::size_t col = 0;
+    for (std::string v; std::getline(row, v, ','); ++col)
+      if (col < tlb_col.size() && tlb_col[col]) tlb_misses += std::stod(v);
+  }
+  EXPECT_GT(m.get("tlb.misses"), 0.0);
+  EXPECT_EQ(tlb_misses, m.get("tlb.misses"));
 }
 
 // --- harness plumbing -----------------------------------------------------

@@ -1,13 +1,19 @@
-// Unit tests: common value types, masks, PRNG, error handling.
+// Unit tests: common value types, masks, PRNG, error handling, atomic file
+// publication.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "common/prng.hpp"
-#include "common/log.hpp"
 #include "common/require.hpp"
 #include "common/tile_mask.hpp"
 #include "common/types.hpp"
+#include "common/write_file.hpp"
 
 using namespace tdn;
 
@@ -133,47 +139,34 @@ TEST(Fnv1a, StableAndSensitive) {
   EXPECT_NE(fnv1a64(a, 5), fnv1a64(b, 5));
 }
 
-TEST(Log, ConfigureBareLevelAppliesEverywhere) {
-  log::configure("error");
-  EXPECT_EQ(log::level(), log::Level::Error);
-  EXPECT_EQ(log::level(log::Sub::Noc), log::Level::Error);
-  EXPECT_EQ(log::level(log::Sub::Cache), log::Level::Error);
-  log::configure("warn");  // restore default
-}
-
-TEST(Log, ConfigurePerSubsystemOverrides) {
-  EXPECT_TRUE(log::configure("info,noc=debug,cache=trace"));
-  EXPECT_EQ(log::level(log::Sub::General), log::Level::Info);
-  EXPECT_EQ(log::level(log::Sub::Noc), log::Level::Debug);
-  EXPECT_EQ(log::level(log::Sub::Cache), log::Level::Trace);
-  EXPECT_EQ(log::level(log::Sub::Runtime), log::Level::Info);
-  log::configure("warn");
-}
-
-TEST(Log, ConfigureRejectsBadTokensButAppliesGoodOnes) {
-  log::configure("warn");
-  EXPECT_FALSE(log::configure("bogus"));
-  EXPECT_FALSE(log::configure("noc=nope"));
-  EXPECT_FALSE(log::configure("nosuchsub=debug"));
-  // Valid entries in a partially bad spec still apply.
-  EXPECT_FALSE(log::configure("mem=debug,junk"));
-  EXPECT_EQ(log::level(log::Sub::Mem), log::Level::Debug);
-  log::configure("warn");
-}
-
-TEST(Log, SetLevelSingleSubsystem) {
-  log::configure("warn");
-  log::set_level(log::Sub::Obs, log::Level::Trace);
-  EXPECT_EQ(log::level(log::Sub::Obs), log::Level::Trace);
-  EXPECT_EQ(log::level(log::Sub::Sim), log::Level::Warn);
-  log::configure("warn");
-}
-
-TEST(Log, SubNamesRoundTripThroughConfigure) {
-  for (std::size_t i = 0; i < static_cast<std::size_t>(log::Sub::kCount); ++i) {
-    const auto sub = static_cast<log::Sub>(i);
-    EXPECT_TRUE(log::configure(std::string(log::sub_name(sub)) + "=debug"));
-    EXPECT_EQ(log::level(sub), log::Level::Debug);
+// A missing parent directory is created; an overwrite replaces the whole
+// file and leaves no temp file behind.
+TEST(AtomicWrite, WritesCreatesAndOverwrites) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tdn_test_write_file_" + std::to_string(::getpid()));
+  const std::string nested = (dir / "a" / "b" / "report.json").string();
+  EXPECT_TRUE(write_file(nested, "{\"v\":1}\n"));
+  {
+    std::ifstream in(nested);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(), "{\"v\":1}\n");
   }
-  log::configure("warn");
+  // Overwrite is atomic: the new content fully replaces the old.
+  EXPECT_TRUE(write_file(nested, "{\"v\":2}\n"));
+  {
+    std::ifstream in(nested);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(), "{\"v\":2}\n");
+  }
+  // No temp files left behind.
+  std::size_t entries = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator(dir / "a" / "b"))
+    ++entries;
+  EXPECT_EQ(entries, 1u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }

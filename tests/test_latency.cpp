@@ -1,21 +1,14 @@
 // Tests of the tdn::obs v2 latency layer: LatencyHistogram bucketing and
 // percentile determinism, the attribution sum invariant (components
 // telescope to the measured end-to-end miss latency by construction),
-// critical-path bounds on hand-built DAGs and full-system runs, and the
-// harness's atomic report-writing path.
+// and critical-path bounds on hand-built DAGs and full-system runs.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "harness/results_cache.hpp"
 #include "obs/attribution.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/latency_histogram.hpp"
@@ -157,8 +150,7 @@ TEST(Attribution, ComponentsSumToEndToEndLatency) {
     EXPECT_EQ(attr.total().count() + attr.merged().count(), ms.samples())
         << system::to_string(kind);
     // ...and the attributed cycles are exactly the measured cycles.
-    EXPECT_EQ(static_cast<double>(attr.total().sum() + attr.merged().sum()),
-              ms.total())
+    EXPECT_EQ(attr.total().sum() + attr.merged().sum(), ms.total())
         << system::to_string(kind);
 
     // The six components telescope to the end-to-end latency by
@@ -303,38 +295,4 @@ TEST(CriticalPath, FullRunBoundsAndExactDecomposition) {
     EXPECT_FALSE(r.path.empty());
     EXPECT_NE(r.report_json().find("\"realized\""), std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Atomic report writing
-// ---------------------------------------------------------------------------
-
-TEST(AtomicWrite, WritesCreatesAndOverwrites) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("tdn_test_latency_" + std::to_string(::getpid()));
-  const std::string nested = (dir / "a" / "b" / "report.json").string();
-  EXPECT_TRUE(harness::atomic_write_file(nested, "{\"v\":1}\n"));
-  {
-    std::ifstream in(nested);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "{\"v\":1}\n");
-  }
-  // Overwrite is atomic: the new content fully replaces the old.
-  EXPECT_TRUE(harness::atomic_write_file(nested, "{\"v\":2}\n"));
-  {
-    std::ifstream in(nested);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "{\"v\":2}\n");
-  }
-  // No temp files left behind.
-  std::size_t entries = 0;
-  for ([[maybe_unused]] const auto& e :
-       std::filesystem::directory_iterator(dir / "a" / "b"))
-    ++entries;
-  EXPECT_EQ(entries, 1u);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
 #include "harness/results_cache.hpp"
 #include "harness/sweep_runner.hpp"
 
@@ -233,21 +232,4 @@ TEST(ResultsCacheConcurrency, MalformedLinesAreSkippedNotTrusted) {
     out << "garbage\nmore garbage\n";
   }
   EXPECT_FALSE(ResultsCache::load("allbad").has_value());
-}
-
-TEST(Logger, ConcurrentFirstUseAndWritesAreSafe) {
-  // Exercises the once_flag env-parse path and the serialized write path
-  // from many threads at once; TSan/ASan builds would flag a race here.
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < 50; ++i) {
-        (void)log::level(log::Sub::Harness);
-        if (t == 0 && i == 0)
-          log::configure("warn");  // concurrent reconfigure is also safe
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  SUCCEED();
 }
