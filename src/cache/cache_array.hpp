@@ -94,45 +94,32 @@ class CacheArray {
   ///
   /// @p avoid, when set, marks victim addresses that must not be displaced
   /// (lines with an in-flight coherence transaction). If every way in the
-  /// allocation window is unevictable — effectively impossible for a
-  /// blocking directory over a full 16-way set, but reachable under narrow
-  /// tdn::multi way quotas — the pseudo-LRU victim is used regardless. That
-  /// forced choice is a protocol hazard, so it is counted in
-  /// forced_unsafe_evictions() and trips TDN_ASSERT in debug builds rather
-  /// than passing silently.
-  ///
-  /// @p first_way / @p way_count, when way_count > 0, restrict the
-  /// allocation (invalid-way scan, victim choice and avoid fallback) to that
-  /// way range of the set — CAT-style way partitioning (tdn::multi).
-  /// way_count == 0 means the whole set.
+  /// set is unevictable — effectively impossible for a blocking directory
+  /// over a 16-way set, which would need a transaction in flight on every
+  /// way — the pseudo-LRU victim is used regardless. That forced choice is
+  /// a protocol hazard, so it is counted in forced_unsafe_evictions() and
+  /// trips TDN_ASSERT in debug builds rather than passing silently.
   struct Eviction {
     Addr addr;
     Meta meta;
   };
   Line& allocate(Addr line_addr, std::optional<Eviction>& evicted,
-                 const std::function<bool(Addr)>& avoid = {},
-                 unsigned first_way = 0, unsigned way_count = 0) {
+                 const std::function<bool(Addr)>& avoid = {}) {
     TDN_ASSERT(find(line_addr) == nullptr);
-    if (way_count == 0) {
-      first_way = 0;
-      way_count = geo_.associativity;
-    }
-    TDN_ASSERT(first_way + way_count <= geo_.associativity);
-    const unsigned end_way = first_way + way_count;
     evicted.reset();
     const unsigned s = set_of(line_addr);
     unsigned way = geo_.associativity;  // first invalid way, if any
-    for (unsigned w = first_way; w < end_way; ++w) {
+    for (unsigned w = 0; w < geo_.associativity; ++w) {
       if (!at(s, w).valid()) {
         way = w;
         break;
       }
     }
     if (way == geo_.associativity) {
-      way = plru_[s].victim_in(first_way, way_count);
+      way = plru_[s].victim();
       if (avoid && avoid(at(s, way).addr)) {
         bool found_safe = false;
-        for (unsigned w = first_way; w < end_way; ++w) {
+        for (unsigned w = 0; w < geo_.associativity; ++w) {
           if (!avoid(at(s, w).addr)) {
             way = w;
             found_safe = true;
@@ -140,10 +127,10 @@ class CacheArray {
           }
         }
         if (!found_safe) {
-          // Every way in the window is pinned: the eviction below displaces
-          // a line the caller asked to protect.
+          // Every way in the set is pinned: the eviction below displaces a
+          // line the caller asked to protect.
           ++forced_unsafe_evictions_;
-          TDN_ASSERT(!"allocate: every way in the window is pinned; "
+          TDN_ASSERT(!"allocate: every way in the set is pinned; "
                       "forcing an unsafe eviction");
         }
       }
@@ -240,7 +227,7 @@ class CacheArray {
   std::uint64_t occupied_lines() const noexcept { return occupied_; }
   std::uint64_t capacity_lines() const noexcept { return lines_.size(); }
   /// Times allocate() had to evict a line its `avoid` predicate pinned
-  /// because the whole way window was pinned (see allocate()).
+  /// because the whole set was pinned (see allocate()).
   std::uint64_t forced_unsafe_evictions() const noexcept {
     return forced_unsafe_evictions_;
   }

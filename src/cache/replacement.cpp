@@ -28,26 +28,4 @@ unsigned PseudoLruTree::victim() const {
   return node - ways_;
 }
 
-unsigned PseudoLruTree::victim_in(unsigned first, unsigned count) const {
-  TDN_ASSERT(ways_ > 0 && count > 0 && first < ways_ &&
-             first + count <= ways_);
-  const unsigned last = first + count;  // exclusive
-  unsigned node = 1;
-  unsigned lo = 0;       // first way covered by this node's subtree
-  unsigned span = ways_; // ways covered by this node's subtree
-  while (node < ways_) {
-    const unsigned mid = lo + span / 2;
-    // Eligible = subtree overlaps [first, last).
-    const bool left_ok = lo < last && first < mid;
-    const bool right_ok = mid < last && first < lo + span;
-    TDN_ASSERT(left_ok || right_ok);
-    const bool go_right =
-        (left_ok && right_ok) ? (((bits_ >> node) & 1u) != 0) : right_ok;
-    node = node * 2 + (go_right ? 1u : 0u);
-    if (go_right) lo = mid;
-    span /= 2;
-  }
-  return node - ways_;
-}
-
 }  // namespace tdn::cache

@@ -29,13 +29,6 @@ class PseudoLruTree {
   /// The way the tree currently points at (the pseudo-least-recently used).
   unsigned victim() const;
 
-  /// Pseudo-LRU victim restricted to ways [first, first+count): the tree
-  /// walk follows its direction bits wherever both subtrees intersect the
-  /// range and is forced toward the range otherwise — Intel CAT-style way
-  /// partitioning (tdn::multi gives each colocated app a way quota).
-  /// victim_in(0, ways()) == victim().
-  unsigned victim_in(unsigned first, unsigned count) const;
-
  private:
   unsigned ways_ = 0;
   std::uint64_t bits_ = 0;  // node i's bit; root is node 1

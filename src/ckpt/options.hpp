@@ -1,9 +1,10 @@
 // Checkpoint configuration carried by harness::RunConfig.
 //
-// The cadence knobs are *behavioral*: reaching a quiescent point means the
+// The cadence knob is *behavioral*: reaching a quiescent point means the
 // serving loop pauses dispatch, drains in-flight work and cold-normalizes
 // the machine (serve_system.cpp §checkpointing), which changes downstream
-// timing. They therefore enter RunConfig::fingerprint() via canonical().
+// timing. It therefore enters RunConfig::fingerprint() via canonical(),
+// with the fixed drain-poll period.
 // Counters are not touched: a snapshot records their running totals.
 // The I/O knobs (directory, resume, retention) only say where snapshots go
 // and whether to load one — two runs differing only in those produce
@@ -18,6 +19,10 @@
 
 namespace tdn::ckpt {
 
+/// Drain-poll period while waiting for in-flight events to settle at a
+/// checkpoint boundary. Part of the schedule, hence in canonical().
+inline constexpr Cycle kSettleGrace = 256;
+
 struct Options {
   // --- behavioral (fingerprinted) ---------------------------------------
   /// Checkpoint cadence in simulated cycles; 0 disables checkpointing.
@@ -26,9 +31,6 @@ struct Options {
   /// guarantee — interrupted+resumed == uninterrupted, bit for bit — holds
   /// between runs with the *same* cadence.
   Cycle every = 0;
-  /// Drain-poll period while waiting for in-flight events to settle at a
-  /// checkpoint boundary. Part of the schedule, hence fingerprinted.
-  Cycle settle_grace = 256;
 
   // --- I/O only (not fingerprinted) -------------------------------------
   /// Snapshot directory; empty with every > 0 means "drain and normalize
@@ -47,7 +49,7 @@ struct Options {
   /// leaves existing fingerprints untouched).
   std::string canonical() const {
     std::ostringstream os;
-    os << "ck" << every << "/g" << settle_grace;
+    os << "ck" << every << "/g" << kSettleGrace;
     return os.str();
   }
 };

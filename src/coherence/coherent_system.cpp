@@ -48,24 +48,21 @@ std::uint64_t CoherentSystem::forced_unsafe_evictions() const {
 // Multiprogram view (tdn::multi)
 // --------------------------------------------------------------------------
 
-void CoherentSystem::set_app_view(AppView view) {
-  TDN_REQUIRE(view.num_apps > 0, "app view needs at least one app");
-  TDN_REQUIRE(view.core_app.size() == num_cores_,
-              "app view must map every core");
-  for (std::uint8_t a : view.core_app)
-    TDN_REQUIRE(a < view.num_apps, "core mapped to an out-of-range app");
-  TDN_REQUIRE(view.ways.empty() || view.ways.size() == view.num_apps,
-              "way quotas must cover every app (or be empty)");
-  for (const WayRange& w : view.ways)
-    TDN_REQUIRE(w.first + w.count <= cfg_.llc_bank.associativity,
-                "way quota exceeds LLC associativity");
-  view_ = std::move(view);
-  app_counters_.assign(view_.num_apps, AppCounters{});
-}
-
-CoherentSystem::WayRange CoherentSystem::way_quota(CoreId core) const {
-  if (view_.num_apps == 0 || view_.ways.empty()) return WayRange{};
-  return view_.ways[view_.core_app[core]];
+void CoherentSystem::set_app_view(const std::vector<CoreMask>& partitions) {
+  TDN_REQUIRE(!partitions.empty(), "app view needs at least one app");
+  TDN_REQUIRE(partitions.size() < kNoApp, "too many apps for the app tag");
+  std::vector<std::uint8_t> core_app(num_cores_, kNoApp);
+  for (std::size_t a = 0; a < partitions.size(); ++a) {
+    partitions[a].for_each([&](CoreId c) {
+      TDN_REQUIRE(c < num_cores_ && core_app[c] == kNoApp,
+                  "app partitions must hold each core at most once");
+      core_app[c] = static_cast<std::uint8_t>(a);
+    });
+  }
+  for (std::uint8_t a : core_app)
+    TDN_REQUIRE(a != kNoApp, "app partitions must cover every core");
+  core_app_ = std::move(core_app);
+  app_counters_.assign(partitions.size(), AppCounters{});
 }
 
 std::uint64_t CoherentSystem::cross_app_conflicts() const {
@@ -94,23 +91,21 @@ std::uint64_t CoherentSystem::app_resident_lines(unsigned app) const {
 // --------------------------------------------------------------------------
 
 void CoherentSystem::access(CoreId core, Addr vaddr, Addr paddr,
-                            AccessKind kind,
-                            std::function<void(Cycle)> done) {
+                            AccessKind kind, std::function<void()> done) {
   access_internal(core, vaddr, paddr, kind, std::move(done),
                   /*replay=*/false);
 }
 
 void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
                                      AccessKind kind,
-                                     std::function<void(Cycle)> done,
+                                     std::function<void()> done,
                                      bool replay) {
   // Page-walker PTE loads (kernel physical region) stay out of the NUCA
   // policies' page-classification machinery: hardware walkers bypass the
   // OS page-grain bookkeeping, and a kernel address would poison R-NUCA's
-  // per-page state machine and TD-NUCA's RRT lookups.
-  const bool kernel = vaddr >= kKernelBase;
-  const Cycle hook_lat =
-      (replay || kernel) ? 0 : policy_.on_access(core, vaddr, kind);
+  // per-page state machine and TD-NUCA's RRT lookups. The post-fill replay
+  // is the same reference, so the hook has already seen it.
+  if (!replay && vaddr < kKernelBase) policy_.on_access(core, vaddr, kind);
   const Addr line = line_of(paddr);
   L1& l1 = l1s_[core];
   auto* ln = l1.array.find(line);
@@ -128,7 +123,7 @@ void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
       ln->meta.dirty = true;
     }
     l1.array.touch(line);
-    done(eq_.now() + cfg_.l1_latency + hook_lat);
+    done();
     return;
   }
   if (!replay) stats_.l1_misses.inc();
@@ -137,7 +132,7 @@ void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
 
 void CoherentSystem::start_miss(CoreId core, Addr vaddr, Addr line,
                                 AccessKind kind, Cycle issued_at,
-                                std::function<void(Cycle)> done) {
+                                std::function<void()> done) {
   L1& l1 = l1s_[core];
   // Structural hazard: all MSHRs busy and this line is not mergeable.
   // Back off and retry the whole miss.
@@ -243,7 +238,7 @@ void CoherentSystem::bank_request(BankId bank, CoreId requester, Addr line,
     const Cycle start = eq_.now() > bb.next_free ? eq_.now() : bb.next_free;
     Cycle interval = cfg_.bank_service_interval;
     if (health_ != nullptr) interval *= health_->bank_factor(bank);
-    if (view_.num_apps > 0) {
+    if (!core_app_.empty()) {
       // Inter-app interference: this request queues behind the bank's
       // service window and the previous occupant belongs to another app.
       const std::uint8_t app = app_of(requester);
@@ -259,7 +254,7 @@ void CoherentSystem::bank_request(BankId bank, CoreId requester, Addr line,
       stats_.llc_requests.inc();
       ++banks_[bank].counters.requests;
       AppCounters* ac =
-          view_.num_apps > 0 ? &app_counters_[app_of(requester)] : nullptr;
+          core_app_.empty() ? nullptr : &app_counters_[app_of(requester)];
       if (ac != nullptr) ++ac->llc_requests;
       auto* ln = banks_[bank].array.find(line);
       if (rec_ != nullptr && rec_->coherence_on()) {
@@ -431,9 +426,8 @@ void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
   Bank& b = banks_[bank];
   std::optional<cache::CacheArray<LlcMeta>::Eviction> evicted;
   auto busy = [&b](Addr a) { return find_open(b, a) != nullptr; };
-  const WayRange wq = way_quota(requester);
-  auto& ln = b.array.allocate(line, evicted, busy, wq.first, wq.count);
-  if (view_.num_apps > 0) ln.meta.app = app_of(requester);
+  auto& ln = b.array.allocate(line, evicted, busy);
+  if (!core_app_.empty()) ln.meta.app = app_of(requester);
   if (!evicted) return;
   stats_.llc_evictions.inc();
   displace_line(bank, evicted->addr, evicted->meta);
@@ -499,7 +493,7 @@ void CoherentSystem::bank_writeback(BankId bank, CoreId from, Addr line) {
   }
   stats_.llc_writebacks.inc();
   ++banks_[bank].counters.writebacks;
-  if (view_.num_apps > 0) ++app_counters_[app_of(from)].llc_writebacks;
+  if (!core_app_.empty()) ++app_counters_[app_of(from)].llc_writebacks;
   auto* ln = banks_[bank].array.find(line);
   if (ln == nullptr) {
     // The line was evicted from the (inclusive) LLC while the PutM crossed a
@@ -608,7 +602,7 @@ bool CoherentSystem::l1_invalidate(CoreId core, Addr line,
 void CoherentSystem::bypass_fetch(CoreId core, Addr line, AccessKind kind,
                                   Cycle /*issued_at*/) {
   stats_.bypass_reads.inc();
-  if (view_.num_apps > 0) ++app_counters_[app_of(core)].bypass_reads;
+  if (!core_app_.empty()) ++app_counters_[app_of(core)].bypass_reads;
   if (rec_ != nullptr && rec_->coherence_on()) {
     rec_->instant(obs::Recorder::kCoherenceTrack, "coherence", "bypass",
                   "\"core\":" + std::to_string(core));

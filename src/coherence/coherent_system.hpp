@@ -75,10 +75,10 @@ class CoherentSystem final : public nuca::CacheOps {
                  obs::Recorder* rec = nullptr);
 
   // --- core-facing demand path ---------------------------------------
-  /// Perform one memory reference. @p done receives the cycle at which the
-  /// reference completes; for L1 hits it is invoked synchronously.
+  /// Perform one memory reference. The reference completes when @p done
+  /// runs: at once for an L1 hit, otherwise when the fill lands.
   void access(CoreId core, Addr vaddr, Addr paddr, AccessKind kind,
-              std::function<void(Cycle done_at)> done);
+              std::function<void()> done);
 
   // --- CacheOps (flushes driven by policies / the runtime) ------------
   void flush_l1_range(CoreMask cores, const AddrRange& prange,
@@ -128,9 +128,8 @@ class CoherentSystem final : public nuca::CacheOps {
   Cycle flush_busy_cycles(CoreId core) const { return l1s_.at(core).flush_busy; }
   std::uint64_t llc_resident_lines() const;
   /// Evictions forced onto a pinned (in-flight) line because every way in
-  /// the allocation window was pinned — summed over all L1s and LLC banks.
-  /// Nonzero values flag a protocol hazard (narrow way quotas make it
-  /// reachable); see cache::CacheArray::allocate.
+  /// its set was pinned — summed over all L1s and LLC banks. Nonzero values
+  /// flag a protocol hazard; see cache::CacheArray::allocate.
   std::uint64_t forced_unsafe_evictions() const;
 
   /// Per-bank request breakdown — always accounted (it feeds the Registry's
@@ -164,23 +163,14 @@ class CoherentSystem final : public nuca::CacheOps {
   const HierarchyConfig& config() const noexcept { return cfg_; }
 
   // --- multiprogram view (tdn::multi) ----------------------------------
-  /// Per-app LLC way quota inside every set; count == 0 means "all ways"
-  /// (bank/cluster partitioning only, no way partitioning).
-  struct WayRange {
-    unsigned first = 0;
-    unsigned count = 0;
-  };
-  /// Maps each core to the colocated app it belongs to and (optionally)
-  /// gives each app a CAT-style way quota. Attaching a view enables per-app
-  /// request/hit/miss/writeback counters, the LlcMeta app tag and per-bank
-  /// cross-app conflict counting. With no view attached (num_apps == 0,
-  /// the default) every path is bit-identical to the single-program system.
-  struct AppView {
-    std::vector<std::uint8_t> core_app;  ///< core id -> app index
-    unsigned num_apps = 0;
-    std::vector<WayRange> ways;  ///< per-app quota; may be empty
-  };
-  void set_app_view(AppView view);
+  /// Attribute each core to the colocated app (or serving slot) whose
+  /// partition holds it: app a owns the cores of @p partitions[a], and the
+  /// partitions must cover every core exactly once. Attaching a view
+  /// enables per-app request/hit/miss/writeback counters, the LlcMeta app
+  /// tag and per-bank cross-app conflict counting. With no view attached
+  /// (the default) every path is bit-identical to the single-program
+  /// system.
+  void set_app_view(const std::vector<CoreMask>& partitions);
 
   struct AppCounters {
     std::uint64_t llc_requests = 0;
@@ -273,9 +263,9 @@ class CoherentSystem final : public nuca::CacheOps {
   void wait_on(OpenLine& o, sim::Action&& fn);
 
   void access_internal(CoreId core, Addr vaddr, Addr paddr, AccessKind kind,
-                       std::function<void(Cycle)> done, bool replay);
+                       std::function<void()> done, bool replay);
   void start_miss(CoreId core, Addr vaddr, Addr line, AccessKind kind,
-                  Cycle issued_at, std::function<void(Cycle)> done);
+                  Cycle issued_at, std::function<void()> done);
   /// (Re-)register a prepared on_fill callback with @p core's MSHR file,
   /// launching the transaction on NewEntry and backing off on Full. The
   /// callback is never dropped: MshrFile guarantees it is left intact on
@@ -351,17 +341,15 @@ class CoherentSystem final : public nuca::CacheOps {
 
   static constexpr std::uint8_t kNoApp = 0xff;
   std::uint8_t app_of(CoreId core) const {
-    return view_.num_apps > 0 ? view_.core_app[core] : kNoApp;
+    return core_app_.empty() ? kNoApp : core_app_[core];
   }
-  /// Way quota of @p core's app ({0, 0} = whole set).
-  WayRange way_quota(CoreId core) const;
 
   std::vector<L1> l1s_;
   std::vector<Bank> banks_;
   std::vector<std::unique_ptr<Waiter[]>> waiter_chunks_;  ///< Waiter pool
   Waiter* free_waiters_ = nullptr;
   Stats stats_;
-  AppView view_;
+  std::vector<std::uint8_t> core_app_;  ///< core id -> app; empty = no view
   std::vector<AppCounters> app_counters_;
 };
 

@@ -82,7 +82,7 @@ void SimCore::step() {
 
 void SimCore::issue_load(const AccessOp& op, Addr paddr) {
   ++loads_in_flight_;
-  caches_.access(id_, op.vaddr, paddr, AccessKind::Read, [this](Cycle) {
+  caches_.access(id_, op.vaddr, paddr, AccessKind::Read, [this] {
     TDN_ASSERT(loads_in_flight_ > 0);
     --loads_in_flight_;
     if (stalled_on_load_window_) {
@@ -99,7 +99,7 @@ void SimCore::issue_load(const AccessOp& op, Addr paddr) {
 
 void SimCore::issue_store(const AccessOp& op, Addr paddr) {
   ++stores_in_flight_;
-  caches_.access(id_, op.vaddr, paddr, AccessKind::Write, [this](Cycle) {
+  caches_.access(id_, op.vaddr, paddr, AccessKind::Write, [this] {
     TDN_ASSERT(stores_in_flight_ > 0);
     --stores_in_flight_;
     if (stalled_on_store_buffer_) {

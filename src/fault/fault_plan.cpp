@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
 
+#include "common/read_number.hpp"
 #include "common/require.hpp"
 
 namespace tdn::fault {
@@ -35,24 +37,17 @@ std::string strip(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-/// Parse "<digits>[k|M|G]" (decimal multipliers 1e3/1e6/1e9).
-std::uint64_t parse_scaled(const std::string& tok, const std::string& s) {
+/// Parse "<digits>[k|M|G]" (decimal multipliers 1e3/1e6/1e9); a value
+/// above @p max fails loudly.
+std::uint64_t parse_scaled(const std::string& tok, const std::string& s,
+                           std::uint64_t max =
+                               std::numeric_limits<std::uint64_t>::max()) {
   if (s.empty()) bad(tok, "missing number");
-  std::uint64_t v = 0;
-  std::size_t i = 0;
-  for (; i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])); ++i)
-    v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
-  if (i == 0) bad(tok, "expected a number, got '" + s + "'");
-  if (i + 1 == s.size()) {
-    switch (s[i]) {
-      case 'k': return v * 1000ull;
-      case 'M': return v * 1000000ull;
-      case 'G': return v * 1000000000ull;
-      default: bad(tok, "unknown suffix '" + s.substr(i) + "'");
-    }
-  }
-  if (i != s.size()) bad(tok, "trailing garbage '" + s.substr(i) + "'");
-  return v;
+  const ParsedNumber n = read_number(s, "fault plan '" + tok + "'", true, max);
+  if (n.length == 0) bad(tok, "expected a number, got '" + s + "'");
+  if (n.length != s.size())
+    bad(tok, "trailing garbage '" + s.substr(n.length) + "'");
+  return n.value;
 }
 
 FaultKind parse_kind(const std::string& tok, const std::string& s) {
@@ -81,12 +76,13 @@ void parse_link_target(const std::string& tok, const std::string& s,
     ++i;
   };
   auto number = [&]() {
-    if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i])))
+    const ParsedNumber n =
+        read_number(std::string_view(s).substr(i), "fault plan '" + tok + "'",
+                    /*scaled=*/false, kUnsignedMax);
+    if (n.length == 0)
       bad(tok, "expected a coordinate in link target '" + s + "'");
-    unsigned n = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-      n = n * 10 + static_cast<unsigned>(s[i++] - '0');
-    vals[v++] = n;
+    i += n.length;
+    vals[v++] = static_cast<unsigned>(n.value);
   };
   expect('(');
   number();
@@ -116,10 +112,11 @@ void parse_unit_target(const std::string& tok, const std::string& s,
   else if (s.rfind("core", 0) == 0) digits = s.substr(4);
   else if (s.rfind("mc", 0) == 0) digits = s.substr(2);
   if (digits.empty()) bad(tok, "missing unit index in target '" + s + "'");
-  for (const char c : digits)
-    if (!std::isdigit(static_cast<unsigned char>(c)))
-      bad(tok, "bad unit index in target '" + s + "'");
-  ev.unit = static_cast<unsigned>(std::stoul(digits));
+  const ParsedNumber n = read_number(digits, "fault plan '" + tok + "'",
+                                     /*scaled=*/false, kUnsignedMax);
+  if (n.length != digits.size())
+    bad(tok, "bad unit index in target '" + s + "'");
+  ev.unit = static_cast<unsigned>(n.value);
 }
 
 }  // namespace
@@ -160,7 +157,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       if (p.rfind("cycle=", 0) == 0) ev.at = parse_scaled(tok, p.substr(6));
       else if (p.rfind("len=", 0) == 0) ev.length = parse_scaled(tok, p.substr(4));
       else if (!p.empty() && p[0] == 'x')
-        ev.factor = static_cast<unsigned>(parse_scaled(tok, p.substr(1)));
+        ev.factor =
+            static_cast<unsigned>(parse_scaled(tok, p.substr(1), kUnsignedMax));
       else bad(tok, "unknown parameter '" + p + "'");
       colon = next;
     }

@@ -63,13 +63,7 @@ PageTable::PageMapping PageTable::allocate_vm_page(Addr vaddr) {
   // Largest policy-eligible page first, falling back when the aligned VA
   // span conflicts with an existing mapping or the buddy pool has no
   // contiguous run (fragmentation).
-  Addr sizes[3];
-  unsigned n = 0;
-  if (vm_.use_1g) sizes[n++] = vm::kPage1G;
-  sizes[n++] = vm::kPage2M;
-  sizes[n++] = vm::kPage4K;
-  for (unsigned i = 0; i < n; ++i) {
-    const Addr span = sizes[i];
+  for (const Addr span : {vm::kPage2M, vm::kPage4K}) {
     const Addr va_base = align_down(vaddr, span);
     if (span > vm::kPage4K) {
       if (!huge_candidate(va_base, span)) continue;

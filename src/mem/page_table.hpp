@@ -11,7 +11,7 @@
 //    need multiple RRT entries and create the occupancy pressure discussed
 //    in Sec. V-E.
 //
-//  * tdn::vm (vm.enabled): multi-size pages (4K/2M/1G) backed by a
+//  * tdn::vm (vm.enabled): 4K and 2M pages backed by a
 //    contiguity-aware buddy allocator, with THP-style promotion policies
 //    (never/always/madvise — the runtime issues the madvise-like hint per
 //    dependency region at tdnuca_register time via advise_huge()). A 2M

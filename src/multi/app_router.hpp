@@ -35,8 +35,8 @@ class AppRouter final : public nuca::MappingPolicy {
     return app_policy(vaddr).map(core, vaddr, paddr, kind);
   }
 
-  Cycle on_access(CoreId core, Addr vaddr, AccessKind kind) override {
-    return app_policy(vaddr).on_access(core, vaddr, kind);
+  void on_access(CoreId core, Addr vaddr, AccessKind kind) override {
+    app_policy(vaddr).on_access(core, vaddr, kind);
   }
 
   /// Swap the policy behind slot @p idx (tdn::serve adaptive switching:

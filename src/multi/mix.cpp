@@ -1,7 +1,5 @@
 #include "multi/mix.hpp"
 
-#include <sstream>
-
 #include "common/require.hpp"
 #include "workloads/workload.hpp"
 
@@ -29,10 +27,9 @@ const char* to_string(PartitionMode m) {
 }
 
 std::string MultiOptions::canonical() const {
-  std::ostringstream os;
-  os << (mode == PartitionMode::Partitioned ? "part" : "shared") << "/w"
-     << ways_per_app << "/ovl" << (overlap_cores ? 1 : 0);
-  return os.str();
+  // Deleted ways_per_app and overlap_cores keep their v8 slots.
+  return std::string(mode == PartitionMode::Partitioned ? "part" : "shared") +
+         "/w0/ovl0";
 }
 
 MixSpec MixSpec::parse(std::string_view text) {

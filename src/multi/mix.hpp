@@ -1,10 +1,10 @@
 // tdn::multi — multiprogram colocation on one shared NUCA substrate.
 //
 // A mix describes N independent task-dataflow applications co-scheduled on
-// disjoint (or overlapping) core partitions of one system::Machine: one
-// event queue, one NoC, one banked LLC and one DRAM subsystem, N runtimes. Mixes are spelled as '+'-joined workload names ("gauss+histo")
-// so they flow through the existing RunConfig / results-cache plumbing as
-// ordinary workload strings.
+// disjoint core partitions of one system::Machine: one event queue, one
+// NoC, one banked LLC and one DRAM subsystem, N runtimes. Mixes are spelled
+// as '+'-joined workload names ("gauss+histo") so they flow through the
+// existing RunConfig / results-cache plumbing as ordinary workload strings.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,7 @@ std::vector<CoreMask> row_partitions(unsigned mesh_w, unsigned mesh_h,
 
 enum class PartitionMode : std::uint8_t {
   /// Each app's NUCA policy is confined to its own bank rows (and, for
-  /// TD-NUCA, its replication clusters are clipped to them); optionally a
-  /// CAT-style way quota is stacked on top.
+  /// TD-NUCA, its replication clusters are clipped to them).
   Partitioned,
   /// Free-for-all: every app's policy maps across the whole LLC and apps
   /// contend for capacity — the ablation baseline.
@@ -51,17 +50,8 @@ const char* to_string(PartitionMode m);
 /// options never share a results-cache entry.
 struct MultiOptions {
   PartitionMode mode = PartitionMode::Partitioned;
-  /// Per-app LLC way quota inside every set (Partitioned mode only);
-  /// 0 disables way partitioning. num_apps * ways_per_app must fit the
-  /// LLC associativity.
-  unsigned ways_per_app = 0;
-  /// All apps schedule on all cores and contend for them task-by-task
-  /// instead of owning disjoint partitions. Per-app LLC counters are then
-  /// attributed by each core's round-robin home app (a documented
-  /// approximation; the per-app makespans remain exact).
-  bool overlap_cores = false;
 
-  std::string canonical() const;  ///< e.g. "part/w4/ovl0", for fingerprints
+  std::string canonical() const;  ///< e.g. "part/w0/ovl0", for fingerprints
 };
 
 /// A parsed '+'-joined mix. Single names parse to a one-app spec, which

@@ -21,7 +21,6 @@ MultiProgramSystem::MultiProgramSystem(system::SystemConfig cfg, MixSpec mix,
   // --- core / bank partitions ------------------------------------------
   // Row-granular split (multi::row_partitions): app a owns mesh rows
   // [a*rpa, (a+1)*rpa).
-  const unsigned rows_per_app = cfg.mesh_h / std::max(num_apps, 1u);
   const std::vector<CoreMask> part =
       row_partitions(cfg.mesh_w, cfg.mesh_h, num_apps);
 
@@ -32,7 +31,7 @@ MultiProgramSystem::MultiProgramSystem(system::SystemConfig cfg, MixSpec mix,
     apps_.push_back(std::make_unique<App>(a * kAppStride + mem::kHeapBase));
     App& app = *apps_.back();
     app.workload_name = mix.apps[a];
-    app.cores = opts_.overlap_cores ? CoreMask::first_n(n) : part[a];
+    app.cores = part[a];
     app.banks =
         opts_.mode == PartitionMode::Partitioned ? part[a] : BankMask{};
     app.policies = &machine_.add_policies();
@@ -46,25 +45,8 @@ MultiProgramSystem::MultiProgramSystem(system::SystemConfig cfg, MixSpec mix,
   router_ = std::make_unique<AppRouter>(app_policies);
   machine_.build(*router_, nullptr);
 
-  // --- per-app LLC accounting (+ optional way quotas) -------------------
-  coherence::CoherentSystem::AppView view;
-  view.num_apps = num_apps;
-  view.core_app.resize(n);
-  for (unsigned c = 0; c < n; ++c) {
-    view.core_app[c] =
-        opts_.overlap_cores
-            ? static_cast<std::uint8_t>(c % num_apps)  // home-app attribution
-            : static_cast<std::uint8_t>(c / (rows_per_app * cfg.mesh_w));
-  }
-  if (opts_.mode == PartitionMode::Partitioned && opts_.ways_per_app > 0) {
-    TDN_REQUIRE(num_apps * opts_.ways_per_app <=
-                    cfg.hierarchy.llc_bank.associativity,
-                "way quotas exceed LLC associativity");
-    view.ways.resize(num_apps);
-    for (unsigned a = 0; a < num_apps; ++a)
-      view.ways[a] = {a * opts_.ways_per_app, opts_.ways_per_app};
-  }
-  machine_.caches().set_app_view(std::move(view));
+  // --- per-app LLC accounting -------------------------------------------
+  machine_.caches().set_app_view(part);
 
   // --- per-app programs -------------------------------------------------
   // Stream a: co-scheduled runtimes must not mirror each other's dispatch
@@ -117,21 +99,9 @@ Cycle MultiProgramSystem::run(Cycle cycle_limit) {
   }
   unsigned remaining = num_apps();
   for (unsigned a = 0; a < num_apps(); ++a) {
-    apps_[a]->done = false;
-    apps_[a]->program.rt->run([this, a, &remaining] {
-      apps_[a]->done = true;
+    apps_[a]->program.rt->run([this, &remaining] {
       if (--remaining == 0) completed_ = true;
     });
-  }
-  if (opts_.overlap_cores) {
-    // Apps contend for cores task-by-task: when one app frees a core, every
-    // co-runner gets a chance to claim it.
-    for (unsigned a = 0; a < num_apps(); ++a) {
-      apps_[a]->program.rt->set_on_task_complete([this, a] {
-        for (unsigned b = 0; b < num_apps(); ++b)
-          if (b != a && !apps_[b]->done) apps_[b]->program.rt->kick();
-      });
-    }
   }
   machine_.events().run_until(cycle_limit);
   TDN_REQUIRE(completed_, "mix drained without completing every app");
@@ -203,10 +173,8 @@ stats::Registry MultiProgramSystem::collect_stats() const {
 
   // --- colocation aggregates -------------------------------------------
   r.set("multi.num_apps", static_cast<double>(num_apps()));
-  r.set("multi.ways_per_app", static_cast<double>(opts_.ways_per_app));
   r.set("multi.partitioned",
         opts_.mode == PartitionMode::Partitioned ? 1.0 : 0.0);
-  r.set("multi.overlap_cores", opts_.overlap_cores ? 1.0 : 0.0);
   r.set("multi.cross_app_conflicts",
         static_cast<double>(caches.cross_app_conflicts()));
 

@@ -7,8 +7,8 @@
 // alias-free), a NUCA policy set (own RRTs / page classifications) and a
 // program (scheduler, hooks, runtime) over that app's core partition. An
 // AppRouter presents the per-app policies to the hierarchy as one; the
-// CoherentSystem's AppView provides per-app LLC counters, optional way
-// quotas and inter-app bank-conflict accounting.
+// CoherentSystem's app view (the row partitions) provides per-app LLC
+// counters and inter-app bank-conflict accounting.
 //
 // Determinism: one single-threaded event loop drives all apps, per-app PRNG
 // seeds derive from the app index alone, so mixes are bit-identical across
@@ -89,7 +89,6 @@ class MultiProgramSystem {
     system::PolicySet* policies = nullptr;  ///< owned by the machine
     system::Program program;
     std::unique_ptr<workloads::Workload> workload;
-    bool done = false;
   };
 
   void register_observability();

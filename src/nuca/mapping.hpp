@@ -64,12 +64,12 @@ class MappingPolicy {
                           AccessKind kind) = 0;
 
   /// Demand-access hook, called once per L1 *access* (hit or miss) with the
-  /// virtual address, before map(). OS-based policies use it to run their
-  /// page classification state machine. Returns extra latency to charge.
-  virtual Cycle on_access(CoreId /*core*/, Addr /*vaddr*/,
-                          AccessKind /*kind*/) {
-    return 0;
-  }
+  /// virtual address, before map(); page-table loads never reach it.
+  /// OS-based policies use it to run their page classification state
+  /// machine. It charges no time: the flushes and TLB shootdowns it starts
+  /// carry their own cost.
+  virtual void on_access(CoreId /*core*/, Addr /*vaddr*/,
+                         AccessKind /*kind*/) {}
 
   /// Inject the cache-maintenance backend (system::Machine::build gives
   /// every policy the hierarchy's).

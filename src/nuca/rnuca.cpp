@@ -3,8 +3,8 @@
 namespace tdn::nuca {
 
 RNucaPolicy::RNucaPolicy(const noc::Mesh& mesh, unsigned num_banks,
-                         mem::PageTable& pt, RNucaConfig cfg)
-    : cfg_(cfg), num_banks_(num_banks), pt_(pt), clusters_(mesh) {}
+                         mem::PageTable& pt)
+    : num_banks_(num_banks), pt_(pt), clusters_(mesh) {}
 
 void RNucaPolicy::flush_page(Addr page_base, CoreMask cores, BankMask banks) {
   if (ops_ == nullptr) return;
@@ -16,7 +16,7 @@ void RNucaPolicy::flush_page(Addr page_base, CoreMask cores, BankMask banks) {
   if (!banks.empty()) ops_->flush_llc_range(banks, prange, [] {});
 }
 
-Cycle RNucaPolicy::on_access(CoreId core, Addr vaddr, AccessKind kind) {
+void RNucaPolicy::on_access(CoreId core, Addr vaddr, AccessKind kind) {
   const Addr vpage = pt_.page_base(vaddr);
   auto [it, inserted] = pages_.try_emplace(vpage);
   PageState& ps = it->second;
@@ -24,33 +24,29 @@ Cycle RNucaPolicy::on_access(CoreId core, Addr vaddr, AccessKind kind) {
     ps.cls = PageClass::Private;
     ps.owner = core;
     ps.written = is_write(kind);
-    return cfg_.first_touch_penalty;
+    return;
   }
   switch (ps.cls) {
     case PageClass::Private:
       if (ps.owner == core) {
         ps.written = ps.written || is_write(kind);
-        return 0;
+        return;
       }
       // Second core touches the page: reclassify. The previous owner's
       // cached copies (its L1 and its local LLC bank) are flushed and its
-      // TLB entry is invalidated (paper Sec. II-C). Under a partition a
-      // foreign-tile owner's lines live interleaved across the partition
-      // banks instead of on its own tile.
+      // TLB entry is invalidated (paper Sec. II-C).
       reclassifications_.inc();
       flush_page(vpage, CoreMask::single(ps.owner),
-                 bank_partition().empty() || bank_partition().test(ps.owner)
-                     ? BankMask::single(ps.owner)
-                     : bank_partition());
+                 BankMask::single(ps.owner));
       if (ps.owner < mmus_.size() && mmus_[ps.owner] != nullptr)
         mmus_[ps.owner]->invalidate_page(vaddr);
       ps.cls = (ps.written || is_write(kind)) ? PageClass::Shared
                                               : PageClass::SharedRO;
       ps.written = ps.written || is_write(kind);
       ps.owner = kInvalidCore;
-      return cfg_.reclassification_penalty;
+      return;
     case PageClass::SharedRO:
-      if (!is_write(kind)) return 0;
+      if (!is_write(kind)) return;
       // A write to a replicated read-only page: demote to Shared and flush
       // every replica from every cache (Sec. V enhancement).
       reclassifications_.inc();
@@ -65,11 +61,10 @@ Cycle RNucaPolicy::on_access(CoreId core, Addr vaddr, AccessKind kind) {
                                           : bank_partition());
       for (auto* mmu : mmus_)
         if (mmu != nullptr) mmu->invalidate_page(vaddr);
-      return cfg_.reclassification_penalty;
+      return;
     case PageClass::Shared:
-      return 0;  // terminal class
+      return;  // terminal class
   }
-  return 0;
 }
 
 MapDecision RNucaPolicy::map(CoreId core, Addr vaddr, Addr paddr,
@@ -82,15 +77,8 @@ MapDecision RNucaPolicy::map(CoreId core, Addr vaddr, Addr paddr,
     return MapDecision::to_bank(
         degrade(interleave_bank(paddr, num_banks_), paddr));
   switch (it->second.cls) {
-    case PageClass::Private: {
-      const CoreId owner = it->second.owner;
-      // A foreign-tile owner (overlapping-core colocation) has no bank of
-      // its own inside the partition; its pages interleave instead.
-      if (!bank_partition().empty() && !bank_partition().test(owner))
-        return MapDecision::to_bank(
-            degrade(interleave_bank(paddr, num_banks_), paddr));
-      return MapDecision::to_bank(degrade(owner, paddr));
-    }
+    case PageClass::Private:
+      return MapDecision::to_bank(degrade(it->second.owner, paddr));
     case PageClass::SharedRO: {
       if (bank_partition().empty())
         return MapDecision::to_bank(degrade(

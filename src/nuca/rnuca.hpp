@@ -41,29 +41,19 @@
 
 namespace tdn::nuca {
 
-struct RNucaConfig {
-  /// OS cost charged to the faulting core on a page reclassification
-  /// (page-table update, flush orchestration, TLB shootdown IPIs).
-  Cycle reclassification_penalty = 600;
-  /// First-touch classification cost (page-table bit update).
-  Cycle first_touch_penalty = 40;
-};
-
 enum class PageClass : std::uint8_t { Private, SharedRO, Shared };
 
 class RNucaPolicy final : public MappingPolicy {
  public:
-  RNucaPolicy(const noc::Mesh& mesh, unsigned num_banks, mem::PageTable& pt,
-              RNucaConfig cfg = {});
+  RNucaPolicy(const noc::Mesh& mesh, unsigned num_banks, mem::PageTable& pt);
 
   const char* name() const override { return "R-NUCA"; }
 
   /// The per-core MMUs whose TLBs are shot down on reclassification
-  /// (index = core id). Optional: without them, shootdown cost is still
-  /// charged but no TLB state changes.
+  /// (index = core id). Optional: without them no TLB state changes.
   void set_mmus(std::vector<vm::Mmu*> mmus) { mmus_ = std::move(mmus); }
 
-  Cycle on_access(CoreId core, Addr vaddr, AccessKind kind) override;
+  void on_access(CoreId core, Addr vaddr, AccessKind kind) override;
   MapDecision map(CoreId core, Addr vaddr, Addr paddr,
                   AccessKind kind) override;
 
@@ -97,16 +87,15 @@ class RNucaPolicy final : public MappingPolicy {
   };
 
   /// Flush the physical blocks of a virtual page from the given cores' L1s
-  /// and LLC banks (fire-and-forget; the OS penalty is charged separately).
+  /// and LLC banks (fire-and-forget: the faulting core does not wait for it).
   void flush_page(Addr page_base, CoreMask cores, BankMask banks);
 
-  RNucaConfig cfg_;
   unsigned num_banks_;
   mem::PageTable& pt_;
   tdnuca::ClusterMap clusters_;
   std::vector<vm::Mmu*> mmus_;
   /// Classification state, keyed by the *actual* page base the page table
-  /// mapped (4K in legacy mode; 4K/2M/1G under tdn::vm) — so huge pages
+  /// mapped (4K in legacy mode; 4K/2M under tdn::vm) — so huge pages
   /// visibly coarsen R-NUCA's grain: one touch classifies the whole page,
   /// and mixed In/Out data inside it collapses into one class.
   std::unordered_map<Addr, PageState> pages_;

@@ -96,11 +96,6 @@ void RuntimeSystem::run(std::function<void()> on_complete) {
   dispatch_idle_cores();
 }
 
-void RuntimeSystem::kick() {
-  if (!running_ || completed_ == tasks_.size()) return;
-  dispatch_idle_cores();
-}
-
 void RuntimeSystem::open_phase(std::size_t p) {
   TDN_ASSERT(p < phases_.size());
   open_phase_ = p;
@@ -199,12 +194,9 @@ void RuntimeSystem::complete_task(Task& t) {
   if (completed_ == tasks_.size()) {
     auto done = std::move(on_complete_);
     if (done) done();
-    // on_complete (a multiprogram orchestrator, say) kicks co-runners; the
-    // per-task hook below is for the steady state, not the final drain.
     return;
   }
   dispatch_idle_cores();
-  if (on_task_complete_) on_task_complete_();
 }
 
 }  // namespace tdn::runtime

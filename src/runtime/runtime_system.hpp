@@ -92,19 +92,6 @@ class RuntimeSystem {
   /// Drive the event queue (eq.run()) after calling this.
   void run(std::function<void()> on_complete);
 
-  /// Re-examine idle cores and dispatch ready tasks onto them. A no-op
-  /// before run() or after the graph drains. Needed when core occupancy can
-  /// change without this runtime observing it — e.g. a co-scheduled runtime
-  /// sharing (a subset of) our cores released one (tdn::multi overlap mode).
-  void kick();
-
-  /// Invoked after every task completion, *after* this runtime has
-  /// re-dispatched its own idle cores — co-scheduled runtimes hook this to
-  /// contend for the freed core. Observes only; must not create tasks.
-  void set_on_task_complete(std::function<void()> cb) {
-    on_task_complete_ = std::move(cb);
-  }
-
   // --- introspection ----------------------------------------------------
   const std::vector<Task>& tasks() const noexcept { return tasks_; }
   Task& task(TaskId id) { return tasks_.at(id); }
@@ -148,7 +135,6 @@ class RuntimeSystem {
   Cycle makespan_ = 0;
   SplitMix64 jitter_{0};
   std::function<void()> on_complete_;
-  std::function<void()> on_task_complete_;
 };
 
 }  // namespace tdn::runtime

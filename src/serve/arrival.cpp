@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/prng.hpp"
+#include "common/read_number.hpp"
 #include "common/require.hpp"
 #include "serve/options.hpp"
 
@@ -14,26 +15,17 @@ namespace {
 constexpr const char* kGrammar =
     "expected 'poisson:gap=N', 'fixed:gap=N', "
     "'mmpp:gap=N,burst=N,dwell=N' or 'diurnal:gap=N,amp=F,period=N' "
-    "(N takes k/M suffixes; see docs/serving.md)";
+    "(N takes k/M/G suffixes; see docs/serving.md)";
 
-/// "40k" -> 40000, "2M" -> 2000000, plain digits otherwise.
+/// "40k" -> 40000, "2M" -> 2000000, "1G" -> 1000000000, plain digits
+/// otherwise; a value past 64 bits fails loudly.
 Cycle parse_cycles(std::string_view text, std::string_view what) {
   TDN_REQUIRE(!text.empty(), "empty value for '" + std::string(what) + "'");
-  std::uint64_t mul = 1;
-  if (text.back() == 'k') {
-    mul = 1000;
-    text.remove_suffix(1);
-  } else if (text.back() == 'M') {
-    mul = 1'000'000;
-    text.remove_suffix(1);
-  }
-  std::uint64_t v = 0;
-  for (char c : text) {
-    TDN_REQUIRE(c >= '0' && c <= '9', "bad number '" + std::string(text) +
-                                          "' for '" + std::string(what) + "'");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v * mul;
+  const ParsedNumber n = read_number(text, what);
+  TDN_REQUIRE(n.length > 0 && n.length == text.size(),
+              "bad number '" + std::string(text) + "' for '" +
+                  std::string(what) + "'");
+  return n.value;
 }
 
 double parse_fraction(std::string_view text, std::string_view what) {
@@ -180,8 +172,10 @@ std::vector<Arrival> ArrivalSpec::generate(
   Cycle t = 0;
   switch (kind) {
     case ArrivalKind::Fixed: {
-      for (t = gap; t < horizon; t += gap)
+      for (t = gap; t < horizon; t += gap) {
         out.push_back({t, draw_tenant(prng, weights, total_weight)});
+        TDN_REQUIRE(out.size() <= kMaxArrivals, "arrival spec generates too many requests");
+      }
       break;
     }
     case ArrivalKind::Poisson: {

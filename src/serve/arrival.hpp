@@ -11,7 +11,7 @@
 //
 //   spec    := kind [":" key "=" value ("," key "=" value)*]
 //   kind    := "poisson" | "mmpp" | "diurnal" | "fixed"
-//   value   := number with optional k (x1e3) / M (x1e6) suffix
+//   value   := number with optional k (x1e3) / M (x1e6) / G (x1e9) suffix
 //
 //   poisson:gap=40k            exponential inter-arrivals, mean 40k cycles
 //   fixed:gap=40k              deterministic inter-arrivals (closed-form)

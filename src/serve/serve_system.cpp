@@ -13,7 +13,6 @@ ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
                          ServeOptions opts, obs::Recorder* rec)
     : tenants_(std::move(tenants)), opts_(std::move(opts)), rec_(rec),
       machine_(cfg, rec) {
-  const unsigned n = cfg.num_cores();
   TDN_REQUIRE(opts_.enabled(), "ServeSystem needs an arrival spec");
   TDN_REQUIRE(opts_.slots >= 1, "at least one worker slot");
   TDN_REQUIRE(cfg.policy != system::PolicyKind::TdNucaDryRun,
@@ -51,14 +50,7 @@ ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
 
   // Per-slot LLC accounting (attribution is by requester core, so slices
   // beyond the slot count never index the view).
-  coherence::CoherentSystem::AppView view;
-  view.num_apps = opts_.slots;
-  view.core_app.resize(n);
-  const unsigned rows_per_slot = cfg.mesh_h / opts_.slots;
-  for (unsigned c = 0; c < n; ++c)
-    view.core_app[c] =
-        static_cast<std::uint8_t>(c / (rows_per_slot * cfg.mesh_w));
-  machine_.caches().set_app_view(std::move(view));
+  machine_.caches().set_app_view(part);
 
   if (rec_ != nullptr) register_observability();
 }
@@ -105,7 +97,7 @@ Cycle ServeSystem::run(Cycle cycle_limit) {
   // never change behavior). The chain ends itself once the system drains.
   // Restored lineages re-arm both periodic chains at the exact absolute
   // cycles recorded in the snapshot (a tick can be pending at the
-  // checkpoint cycle itself when settle_grace exceeds the epoch) — and in
+  // checkpoint cycle itself when kSettleGrace exceeds the epoch) — and in
   // this order, after arrivals and before the re-dispatch pump below,
   // reproducing the original lineage's sequence-number tie order.
   if (!resumed_) {
@@ -432,7 +424,7 @@ void decode_hist(ckpt::Decoder& d, obs::LatencyHistogram& h) {
   h.restore(counts, count, sum, mn, mx);
 }
 
-/// Apply @p f field by field across AppView counters, in snapshot order.
+/// Apply @p f field by field across AppCounters, in snapshot order.
 template <class F, class... C>
 void each_app_counter(F&& f, C&... c) {
   f(c.llc_requests...);
@@ -448,7 +440,6 @@ void ServeSystem::set_checkpoint(const ckpt::Options& opts,
                                  std::uint64_t config_fingerprint) {
   TDN_REQUIRE(!ran_, "set_checkpoint must precede run()");
   TDN_REQUIRE(opts.enabled(), "checkpointing needs a cadence (every > 0)");
-  TDN_REQUIRE(opts.settle_grace >= 1, "settle grace must be >= 1 cycle");
   TDN_REQUIRE(!opts_.adaptive || opts.every % opts_.epoch == 0,
               "adaptive serving: checkpoint cadence must be a multiple of "
               "the adaptation epoch (the drain rides the epoch-tick chain, "
@@ -466,7 +457,7 @@ void ServeSystem::begin_drain(bool emergency) {
   TDN_ASSERT(!draining_);
   draining_ = true;
   emergency_ = emergency;
-  eq_.schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
+  eq_.schedule_in(ckpt::kSettleGrace, [this] { ckpt_settle(); });
 }
 
 void ServeSystem::ckpt_marker() {
@@ -484,7 +475,7 @@ void ServeSystem::ckpt_marker() {
 void ServeSystem::ckpt_settle() {
   TDN_ASSERT(draining_);
   if (!quiescent()) {
-    eq_.schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
+    eq_.schedule_in(ckpt::kSettleGrace, [this] { ckpt_settle(); });
     return;
   }
   ckpt_take();
@@ -543,7 +534,7 @@ std::string ServeSystem::encode_snapshot() const {
   e.u64(policy_switches_);
   e.u8(use_tdnuca_ ? 1 : 0);
   // Periodic chains: the *absolute* pending cycle (0 = chain dead). A tick
-  // can be pending at the checkpoint cycle itself (settle_grace > epoch), so
+  // can be pending at the checkpoint cycle itself (kSettleGrace > epoch), so
   // this must be recorded, never re-derived from the cadence.
   e.u64(tick_alive_ ? next_tick_at_ : 0);
   e.u64(marker_alive_ ? next_marker_at_ : 0);
@@ -711,7 +702,7 @@ stats::Registry ServeSystem::collect_stats() const {
     emit_hist(p + ".queue_wait", q.queue_wait);
   }
 
-  // Per-slot LLC view (the AppView counters, plus their restored baselines).
+  // Per-slot LLC view (the AppCounters, plus their restored baselines).
   for (unsigned s = 0; s < opts_.slots; ++s) {
     const auto& ac = machine_.caches().app_counters(s);
     const auto& sb = slot_baseline_[s];

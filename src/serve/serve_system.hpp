@@ -186,7 +186,7 @@ class ServeSystem {
   void ckpt_marker();
   /// Stop dispatching and wait for the machine to go idle.
   void begin_drain(bool emergency);
-  /// Periodic (settle_grace) quiescence probe while draining.
+  /// Periodic (ckpt::kSettleGrace) quiescence probe while draining.
   void ckpt_settle();
   /// True when nothing is in flight: no busy slot and every pending real
   /// event is expected future work (arrivals, the tick/marker chains,
@@ -245,7 +245,7 @@ class ServeSystem {
   bool marker_alive_ = false;  ///< a cadence marker is scheduled
   Cycle next_marker_at_ = 0;   ///< its absolute cycle (valid when alive)
   std::uint64_t snapshots_written_ = 0;
-  /// Per-slot AppView counter totals of a restored snapshot; zero otherwise
+  /// Per-slot AppCounters totals of a restored snapshot; zero otherwise
   /// (they feed the serve.slotN.llc.* keys).
   std::vector<coherence::CoherentSystem::AppCounters> slot_baseline_;
   bool resumed_ = false;

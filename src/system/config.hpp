@@ -13,7 +13,6 @@
 #include "mem/dram.hpp"
 #include "mem/page_table.hpp"
 #include "noc/network.hpp"
-#include "nuca/rnuca.hpp"
 #include "nuca/tdnuca_policy.hpp"
 #include "runtime/runtime_system.hpp"
 #include "tdnuca/runtime_hooks.hpp"
@@ -52,7 +51,6 @@ struct SystemConfig {
   core::CoreConfig core{};
   runtime::RuntimeConfig runtime{};
   nuca::TdNucaConfig tdnuca{};
-  nuca::RNucaConfig rnuca{};
   tdnuca::HooksConfig hooks{};
   fault::FaultConfig fault{};
 

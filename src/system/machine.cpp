@@ -46,10 +46,10 @@ std::uint64_t SystemConfig::fingerprint() const {
      << tdnuca.rrt_latency << '/'
      // Deleted bypass_only, dry_run and line_size keep their v8 slots.
      << "0/"
-     << rnuca.reclassification_penalty << '/' << rnuca.first_touch_penalty
-     << '/' << hooks.decision_overhead << '/' << hooks.isa.per_rrt_slot << '/'
-     << hooks.isa.issue_overhead << '/' << hooks.isa.flush_poll_overhead << '/'
-     << "0/64/"
+     // Deleted R-NUCA penalties keep their v8 slots.
+     << "600/40/" << hooks.decision_overhead << '/' << hooks.isa.per_rrt_slot
+     << '/' << hooks.isa.issue_overhead << '/' << hooks.isa.flush_poll_overhead
+     << "/0/64/"
      << network.dead_link_backoff << '/' << network.dead_link_max_retries
      << '/' << fault::FaultPlan::parse(fault.plan).canonical() << '/'
      << fault.seed << '/' << fault.rrt_scrub_delay << '/' << vm.canonical();
@@ -121,8 +121,7 @@ PolicySet& Machine::add_policies(bool alternate_rnuca) {
         std::make_unique<nuca::SNucaPolicy>(n, cfg_.hierarchy.l1.line_size);
   }
   if (k == PolicyKind::RNuca || alternate_rnuca) {
-    set.rnuca = std::make_unique<nuca::RNucaPolicy>(mesh_, n, page_table_,
-                                                    cfg_.rnuca);
+    set.rnuca = std::make_unique<nuca::RNucaPolicy>(mesh_, n, page_table_);
   }
   if (k != PolicyKind::SNuca && k != PolicyKind::RNuca)
     set.tdnuca = std::make_unique<nuca::TdNucaPolicy>(mesh_, n, cfg_.tdnuca);
@@ -512,8 +511,6 @@ void Machine::add_stats(stats::Registry& r) const {
           static_cast<double>(page_table_.pages_of(vm::kPage4K)));
     r.set("vm.pages_2m",
           static_cast<double>(page_table_.pages_of(vm::kPage2M)));
-    r.set("vm.pages_1g",
-          static_cast<double>(page_table_.pages_of(vm::kPage1G)));
     r.set("vm.huge_fallbacks", static_cast<double>(t.huge_fallbacks));
     r.set("vm.punctured_frames",
           static_cast<double>(page_table_.punctured_frames()));

@@ -4,7 +4,7 @@
 // `enabled` picks the memory model behind vm::Mmu's one translation path.
 // Off (the default) is the legacy model: flat per-core TLB, constant miss
 // penalty, first-touch 4K frames with PRNG fragmentation injection. On:
-// multi-size pages (4K/2M/1G) from a contiguity-aware buddy allocator, a
+// 4K and 2M pages from a contiguity-aware buddy allocator, a
 // split-L1 + unified-L2 TLB, and a modeled radix page walk whose loads
 // travel the real cache hierarchy, fronted by paging-structure caches.
 #pragma once
@@ -43,9 +43,6 @@ constexpr const char* to_string(ThpPolicy p) noexcept {
 struct VmConfig {
   bool enabled = false;
   ThpPolicy thp = ThpPolicy::Never;
-  /// Allow 1G pages (gated separately: 1G-capable TLBs are rarer and 1G
-  /// mappings over-map aggressively under ThpPolicy::Always).
-  bool use_1g = false;
   /// Physical-pool fragmentation: probability that a 2M-aligned block of a
   /// freshly grown superblock gets one of its 4K frames punctured (reserved
   /// by the "kernel"), breaking its contiguity. Subsumes the legacy
@@ -56,7 +53,6 @@ struct VmConfig {
   // --- two-level data TLB (per core) -----------------------------------
   unsigned l1_4k_entries = 64;
   unsigned l1_2m_entries = 32;
-  unsigned l1_1g_entries = 4;
   Cycle l1_latency = 1;
   unsigned l2_entries = 1024;  ///< unified second-level TLB (all page sizes)
   Cycle l2_latency = 8;

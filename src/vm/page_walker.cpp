@@ -25,9 +25,7 @@ PageWalker::PageWalker(CoreId core, sim::EventQueue& eq,
       psc_l2_(cfg.psc_l2_entries, kLevelSpan[2]) {}
 
 unsigned PageWalker::leaf_level(Addr span) {
-  if (span >= kPage1G) return 3;
-  if (span >= kPage2M) return 2;
-  return 1;
+  return span >= kPage2M ? 2 : 1;
 }
 
 Addr PageWalker::level_prefix(Addr vaddr, unsigned level) {
@@ -106,7 +104,7 @@ unsigned PageWalker::load_chain(Addr vaddr, Addr span,
     }
     const Addr pa = job->loads[i];
     caches_->access(core_, pa, pa, AccessKind::Read,
-                   [i, self](Cycle) { self(i + 1, self); });
+                    [i, self] { self(i + 1, self); });
   };
   const unsigned n = job->n;
   step(0, step);

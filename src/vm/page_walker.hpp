@@ -73,7 +73,7 @@ class PageWalker {
 
  private:
   /// Radix levels are numbered 1 (leaf PTE) .. 4 (PML4E); a page of size S
-  /// has its leaf entry at level 1 (4K), 2 (2M) or 3 (1G).
+  /// has its leaf entry at level 1 (4K) or 2 (2M).
   static unsigned leaf_level(Addr span);
   static Addr level_prefix(Addr vaddr, unsigned level);
   Addr pte_paddr(unsigned level, Addr vaddr) const;

@@ -9,8 +9,8 @@ namespace tdn::vm {
 TlbArray::Map::iterator TlbArray::find(Addr vaddr) {
   if (fixed_span_ != 0) return map_.find(align_down(vaddr, fixed_span_));
   // An entry's key is its va_base; with mixed spans the covering entry (if
-  // any) is keyed at one of the three page-size alignments of vaddr.
-  for (Addr span : {kPage4K, kPage2M, kPage1G}) {
+  // any) is keyed at one of the two page-size alignments of vaddr.
+  for (Addr span : {kPage4K, kPage2M}) {
     auto it = map_.find(align_down(vaddr, span));
     if (it != map_.end() && vaddr < it->first + it->second->span) return it;
   }
@@ -65,7 +65,6 @@ TlbHierarchy::TlbHierarchy(const VmConfig& cfg)
       l2_latency_(cfg.l2_latency) {
   l1_.emplace_back(cfg.l1_4k_entries, kPage4K);
   l1_.emplace_back(cfg.l1_2m_entries, kPage2M);
-  l1_.emplace_back(cfg.l1_1g_entries, kPage1G);
 }
 
 TlbHierarchy::TlbHierarchy(const mem::TlbConfig& cfg, Addr page_size)

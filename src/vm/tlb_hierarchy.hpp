@@ -2,7 +2,7 @@
 // differs:
 //  * legacy (vm disabled): one fully-associative true-LRU array of
 //    `tlb.entries` base pages at `tlb.hit_latency`, no second level;
-//  * vm: split L1 (one array per page size, as x86 cores split 4K/2M/1G
+//  * vm: split L1 (one array per page size, as x86 cores split 4K/2M
 //    dTLBs) backed by a unified L2 ("STLB") holding entries of every size.
 // Entries carry the physical frame, as hardware TLBs do, so a hit
 // translates without the page table. invalidate_page drops the covering
@@ -24,15 +24,15 @@ namespace tdn::vm {
 using TlbEntry = mem::PageTable::PageMapping;
 
 /// One fully-associative true-LRU translation array. The unified level
-/// stores mixed spans; lookup probes the 4K/2M/1G alignments of the address
-/// (three tag compares — how hardware STLBs hash mixed sizes is modeled
+/// stores mixed spans; lookup probes the 4K/2M alignments of the address
+/// (two tag compares — how hardware STLBs hash mixed sizes is modeled
 /// away). Also the walker's paging-structure caches, whose entries carry no
 /// frame.
 class TlbArray {
  public:
   /// @p fixed_span != 0 pins every entry to one span (L1 arrays and the
   /// paging-structure caches): lookups probe a single alignment. 0 = mixed
-  /// spans (unified L2), probing the 4K/2M/1G alignments.
+  /// spans (unified L2), probing the 4K/2M alignments.
   explicit TlbArray(unsigned entries, Addr fixed_span = 0)
       : entries_(entries), fixed_span_(fixed_span) {}
 

@@ -36,32 +36,6 @@ TEST(PseudoLru, RejectsNonPow2) {
   EXPECT_THROW(PseudoLruTree(6), RequireError);
 }
 
-TEST(PseudoLru, VictimInStaysInsideTheWayWindow) {
-  for (unsigned ways : {4u, 8u, 16u}) {
-    PseudoLruTree t(ways);
-    // Whole-set window degenerates to the plain victim.
-    EXPECT_EQ(t.victim_in(0, ways), t.victim());
-    for (int round = 0; round < 32; ++round) {
-      for (unsigned first = 0; first < ways; first += 2) {
-        const unsigned v = t.victim_in(first, 2);
-        EXPECT_GE(v, first) << "ways=" << ways;
-        EXPECT_LT(v, first + 2) << "ways=" << ways;
-      }
-      t.touch(static_cast<unsigned>(round) % ways);
-    }
-  }
-}
-
-TEST(PseudoLru, VictimInNeverPicksTheMostRecentInWindow) {
-  PseudoLruTree t(8);
-  // Inside a half-set window, the just-touched way is not the next victim
-  // (window wider than one way, so the tree has a real choice).
-  for (unsigned w = 4; w < 8; ++w) {
-    t.touch(w);
-    EXPECT_NE(t.victim_in(4, 4), w) << "touched=" << w;
-  }
-}
-
 namespace {
 struct Meta {
   int tag = 0;

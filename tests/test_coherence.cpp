@@ -30,7 +30,7 @@ struct Rig {
 
   Cycle access(CoreId core, Addr paddr, AccessKind kind) {
     Cycle done = kNeverCycle;
-    sys->access(core, paddr, paddr, kind, [&](Cycle at) { done = at; });
+    sys->access(core, paddr, paddr, kind, [&] { done = eq.now(); });
     eq.run();
     EXPECT_NE(done, kNeverCycle);
     return done;
@@ -46,6 +46,17 @@ class AlwaysBypass final : public nuca::MappingPolicy {
   }
 };
 
+/// S-NUCA placement that counts the demand-access hook's calls.
+class CountingSNuca final : public nuca::MappingPolicy {
+ public:
+  const char* name() const override { return "counting-S-NUCA"; }
+  nuca::MapDecision map(CoreId, Addr, Addr paddr, AccessKind) override {
+    return nuca::MapDecision::to_bank(nuca::snuca_bank(paddr, 4));
+  }
+  void on_access(CoreId, Addr, AccessKind) override { ++hooks; }
+  unsigned hooks = 0;
+};
+
 }  // namespace
 
 TEST(Coherence, ReadMissFillsAndHits) {
@@ -58,7 +69,7 @@ TEST(Coherence, ReadMissFillsAndHits) {
 
   const Cycle before = rig.eq.now();
   const Cycle t2 = rig.access(0, 0x1000, AccessKind::Read);
-  EXPECT_EQ(t2, before + rig.cfg.l1_latency);  // L1 hit
+  EXPECT_EQ(t2, before);  // L1 hit
   EXPECT_EQ(rig.sys->stats().l1_hits.value(), 1u);
 }
 
@@ -76,7 +87,7 @@ TEST(Coherence, WriteMissGetsExclusive) {
   // Subsequent write is a pure L1 hit (M state).
   const Cycle before = rig.eq.now();
   const Cycle t = rig.access(0, 0x2000, AccessKind::Write);
-  EXPECT_EQ(t, before + rig.cfg.l1_latency);
+  EXPECT_EQ(t, before);
 }
 
 TEST(Coherence, UpgradeInvalidatesSharers) {
@@ -100,7 +111,7 @@ TEST(Coherence, DirtyDataForwardedToReader) {
   // Writer can still read its (now S) copy as an L1 hit.
   const Cycle before = rig.eq.now();
   const Cycle t = rig.access(0, 0x4000, AccessKind::Read);
-  EXPECT_EQ(t, before + rig.cfg.l1_latency);
+  EXPECT_EQ(t, before);
 }
 
 TEST(Coherence, BypassSkipsLlc) {
@@ -111,13 +122,50 @@ TEST(Coherence, BypassSkipsLlc) {
   AlwaysBypass policy;
   CoherentSystem sys(eq, net, mesh, mcs, policy, {}, 4);
   Cycle done = 0;
-  sys.access(0, 0x1000, 0x1000, AccessKind::Read, [&](Cycle t) { done = t; });
+  sys.access(0, 0x1000, 0x1000, AccessKind::Read, [&] { done = eq.now(); });
   eq.run();
   EXPECT_GT(done, 0u);
   EXPECT_EQ(sys.stats().llc_requests.value(), 0u);
   EXPECT_EQ(sys.stats().bypass_reads.value(), 1u);
   EXPECT_EQ(mcs.mc(0).reads(), 1u);
   EXPECT_EQ(sys.llc_resident_lines(), 0u);
+}
+
+// The policy hook runs once per demand reference, before the reference can
+// complete, and never for the page walker's loads.
+TEST(Coherence, DemandHookRunsOncePerAccess) {
+  sim::EventQueue eq;
+  noc::Mesh mesh(2, 2);
+  noc::Network net(mesh, eq, {});
+  mem::MemControllers mcs(1, {0}, {});
+  CountingSNuca policy;
+  CoherentSystem sys(eq, net, mesh, mcs, policy, {}, 4);
+  bool done = false;
+  // A miss runs the hook once; the post-fill replay does not run it again.
+  sys.access(0, 0x1000, 0x1000, AccessKind::Read, [&] { done = true; });
+  EXPECT_EQ(policy.hooks, 1u);
+  EXPECT_FALSE(done);
+  eq.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(policy.hooks, 1u);
+  EXPECT_EQ(sys.stats().l1_misses.value(), 1u);
+  // A hit runs it once more and completes before access() returns.
+  done = false;
+  sys.access(0, 0x1000, 0x1000, AccessKind::Read, [&] { done = true; });
+  EXPECT_TRUE(done);
+  EXPECT_EQ(policy.hooks, 2u);
+  EXPECT_EQ(sys.stats().l1_hits.value(), 1u);
+  // A page-table load never reaches the hook, as a miss or as a hit.
+  const Addr pte = kKernelBase + 0x40;
+  for (int i = 0; i < 2; ++i) {
+    done = false;
+    sys.access(0, pte, pte, AccessKind::Read, [&] { done = true; });
+    eq.run();
+    EXPECT_TRUE(done);
+  }
+  EXPECT_EQ(policy.hooks, 2u);
+  EXPECT_EQ(sys.stats().l1_misses.value(), 2u);
+  EXPECT_EQ(sys.stats().l1_hits.value(), 2u);
 }
 
 TEST(Coherence, FlushL1WritesBackDirtyLines) {
@@ -173,9 +221,9 @@ TEST(Coherence, InclusiveEvictionBackInvalidatesL1) {
 TEST(Coherence, MergedMissesAllComplete) {
   Rig rig;
   int done = 0;
-  rig.sys->access(0, 0x5000, 0x5000, AccessKind::Read, [&](Cycle) { ++done; });
-  rig.sys->access(0, 0x5000, 0x5000, AccessKind::Read, [&](Cycle) { ++done; });
-  rig.sys->access(0, 0x5040, 0x5040, AccessKind::Read, [&](Cycle) { ++done; });
+  rig.sys->access(0, 0x5000, 0x5000, AccessKind::Read, [&] { ++done; });
+  rig.sys->access(0, 0x5000, 0x5000, AccessKind::Read, [&] { ++done; });
+  rig.sys->access(0, 0x5040, 0x5040, AccessKind::Read, [&] { ++done; });
   rig.eq.run();
   EXPECT_EQ(done, 3);
 }
@@ -189,7 +237,7 @@ TEST(Coherence, MshrFullMissesEventuallyCompleteViaLlc) {
   Rig rig(cfg);
   int done = 0;
   for (Addr a = 0x9000; a < 0x9000 + 8 * 64; a += 64)
-    rig.sys->access(0, a, a, AccessKind::Read, [&](Cycle) { ++done; });
+    rig.sys->access(0, a, a, AccessKind::Read, [&] { ++done; });
   rig.eq.run();
   EXPECT_EQ(done, 8);
   EXPECT_GT(rig.sys->stats().mshr_stalls.value(), 0u);
@@ -208,7 +256,7 @@ TEST(Coherence, MshrFullMissesEventuallyCompleteViaBypass) {
   CoherentSystem sys(eq, net, mesh, mcs, policy, cfg, 4);
   int done = 0;
   for (Addr a = 0xA000; a < 0xA000 + 8 * 64; a += 64)
-    sys.access(0, a, a, AccessKind::Read, [&](Cycle) { ++done; });
+    sys.access(0, a, a, AccessKind::Read, [&] { ++done; });
   eq.run();
   EXPECT_EQ(done, 8);
   EXPECT_GT(sys.stats().mshr_stalls.value(), 0u);

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/prng.hpp"
+#include "common/read_number.hpp"
 #include "common/require.hpp"
 #include "common/tile_mask.hpp"
 #include "common/types.hpp"
@@ -105,6 +106,34 @@ TEST(Require, ThrowsWithMessage) {
     FAIL() << "should have thrown";
   } catch (const RequireError& e) {
     EXPECT_NE(std::string(e.what()).find("something broke"), std::string::npos);
+  }
+}
+
+TEST(ReadNumber, ReadsDigitsAndMultipliersUpToTheLimit) {
+  EXPECT_EQ(read_number("40k,", "t").value, 40'000u);
+  EXPECT_EQ(read_number("40k,", "t").length, 3u);
+  EXPECT_EQ(read_number("2M", "t").value, 2'000'000u);
+  EXPECT_EQ(read_number("3G", "t").value, 3'000'000'000u);
+  EXPECT_EQ(read_number("7z", "t").length, 1u);  // 'z' is left to the caller
+  EXPECT_EQ(read_number("x", "t").length, 0u);
+  EXPECT_EQ(read_number("12k", "t", /*scaled=*/false).length, 2u);
+  EXPECT_EQ(read_number("18446744073709551615", "t").value,
+            ~std::uint64_t{0});
+  EXPECT_EQ(read_number("4294967295", "t", false, kUnsignedMax).value,
+            kUnsignedMax);
+  // Past the limit, by a digit or by a multiplier, throws instead of
+  // wrapping, and the message names the number and the field.
+  EXPECT_THROW(read_number("18446744073709551616", "t"), RequireError);
+  EXPECT_THROW(read_number("18446744073709552k", "t"), RequireError);
+  EXPECT_THROW(read_number("4294967296", "t", false, kUnsignedMax),
+               RequireError);
+  try {
+    read_number("99999999999999999999", "field 'gap'");
+    FAIL() << "should have thrown";
+  } catch (const RequireError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("99999999999999999999"), std::string::npos);
+    EXPECT_NE(what.find("field 'gap'"), std::string::npos);
   }
 }
 

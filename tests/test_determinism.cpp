@@ -63,7 +63,7 @@ const GoldenCase kGoldens[] = {
     // under a second: the colocated and serving front-ends get the same
     // metrics oracle as the tiled one.
     {"gauss+histo", system::PolicyKind::TdNuca, 0x28405c3a02472d68ull,
-     0xc63ddd629146780aull, 0.125},
+     0x15fa6381b4af95b2ull, 0.125},
     {"gauss+histo", system::PolicyKind::TdNuca, 0x9c738193740e53a2ull,
      0xae1e0c5794264718ull, 0.02, "poisson:gap=40k"},
     {"gauss+histo", system::PolicyKind::TdNuca, 0xe52cdb61959e984bull,
@@ -73,12 +73,12 @@ const GoldenCase kGoldens[] = {
     // an RRT soft error, and serving with checkpoint folds (the cadence runs
     // the fold and cold reset; with no directory no snapshot is written).
     {"randtouch", system::PolicyKind::TdNuca, 0x3793f6fdbd564590ull,
-     0x68f3f19fcf50907cull, 0.25, "", false, /*vm=*/true},
+     0xafb28c4f517c07c2ull, 0.25, "", false, /*vm=*/true},
     {"kmeans", system::PolicyKind::TdNuca, 0x8263cf2758de963eull,
      0x559fbbbd7cabbc6bull, 0.25, "", false, false,
      "bank_fail@3:cycle=5k,rrt_flip@core0:cycle=20k"},
     {"randtouch+kmeans", system::PolicyKind::TdNuca, 0x0073f74aaa55334full,
-     0xf6f72337dc71c8f8ull, 0.125, "", false, /*vm=*/true},
+     0xe3a6f3b6809c41c2ull, 0.125, "", false, /*vm=*/true},
     {"gauss+histo", system::PolicyKind::TdNuca, 0xcb0111bf99949892ull,
      0x6c8bebd45c875451ull, 0.02, "poisson:gap=40k", false, false, "",
      /*ckpt_every=*/200'000},

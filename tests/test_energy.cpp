@@ -22,7 +22,7 @@ struct Rig {
 
   void access(CoreId c, Addr a, AccessKind k) {
     bool done = false;
-    sys.access(c, a, a, k, [&](Cycle) { done = true; });
+    sys.access(c, a, a, k, [&] { done = true; });
     eq.run();
     ASSERT_TRUE(done);
   }

@@ -88,6 +88,27 @@ TEST(FaultPlan, MalformedSpecsThrowWithTheOffendingToken) {
   }
 }
 
+// Numbers that overflow their field used to wrap silently (bank 2^32+1
+// failed bank 1) or escape as std::out_of_range.
+TEST(FaultPlan, RejectsNumbersThatDoNotFit) {
+  for (const char* spec : {
+           "bank_fail@bank4294967297:cycle=5k",
+           "bank_fail@3:cycle=18446744073709551617",
+           "link_fail@(4294967296,0)-(4294967297,0)",
+           "bank_slow@bank3:cycle=5k:x4294967298",
+           "bank_fail@bank99999999999999999999:cycle=5k",
+       }) {
+    EXPECT_THROW(FaultPlan::parse(spec), RequireError) << spec;
+  }
+  // The largest values that fit keep their canonical form.
+  const std::string max_plan =
+      "bank_fail@4294967295:cycle=18446744073709551615,"
+      "bank_slow@3:cycle=5000:x4294967295";
+  EXPECT_EQ(FaultPlan::parse(max_plan).canonical(), max_plan);
+  EXPECT_EQ(FaultPlan::parse("link_fail@(1,0)-(2,0):cycle=2G").canonical(),
+            "link_fail@(1,0)-(2,0):cycle=2000000000");
+}
+
 // --- HealthState ---------------------------------------------------------
 
 TEST(HealthState, BankFailureShrinksTheHealthySet) {

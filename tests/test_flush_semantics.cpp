@@ -32,7 +32,7 @@ TEST(FlushSemantics, FlushDefersForInFlightTransaction) {
   // in L1 but hits the (dirty) LLC.
   bool warm = false;
   rig.sys->access(0, 0x1000, 0x1000, AccessKind::Write,
-                  [&](Cycle) { warm = true; });
+                  [&] { warm = true; });
   rig.eq.run();
   ASSERT_TRUE(warm);
   bool l1_flushed = false;
@@ -47,7 +47,7 @@ TEST(FlushSemantics, FlushDefersForInFlightTransaction) {
   bool access_done = false;
   bool flush_done = false;
   rig.sys->access(1, 0x1000, 0x1000, AccessKind::Read,
-                  [&](Cycle) { access_done = true; });
+                  [&] { access_done = true; });
   rig.eq.schedule_at(rig.eq.now() + 5, [&] {
     rig.sys->flush_llc_range(BankMask::first_n(4), {0x1000, 0x1040},
                              [&] { flush_done = true; });
@@ -59,7 +59,7 @@ TEST(FlushSemantics, FlushDefersForInFlightTransaction) {
   const auto reads_before = rig.mcs.mc(0).reads();
   bool refetch = false;
   rig.sys->access(2, 0x1000, 0x1000, AccessKind::Read,
-                  [&](Cycle) { refetch = true; });
+                  [&] { refetch = true; });
   rig.eq.run();
   EXPECT_TRUE(refetch);
   EXPECT_EQ(rig.mcs.mc(0).reads(), reads_before + 1);
@@ -70,7 +70,7 @@ TEST(FlushSemantics, WritebacksArePacedByScanRate) {
   // Dirty 32 lines in core 0's L1.
   for (Addr a = 0x8000; a < 0x8000 + 32 * 64; a += 64) {
     bool done = false;
-    rig.sys->access(0, a, a, AccessKind::Write, [&](Cycle) { done = true; });
+    rig.sys->access(0, a, a, AccessKind::Write, [&] { done = true; });
     rig.eq.run();
     ASSERT_TRUE(done);
   }
@@ -88,7 +88,7 @@ TEST(FlushSemantics, FlushEngineBusyAccounted) {
   Rig rig;
   bool done = false;
   rig.sys->access(3, 0x9000, 0x9000, AccessKind::Write,
-                  [&](Cycle) { done = true; });
+                  [&] { done = true; });
   rig.eq.run();
   ASSERT_TRUE(done);
   ASSERT_EQ(rig.sys->flush_busy_cycles(3), 0u);
@@ -111,7 +111,7 @@ TEST(FlushSemantics, FlushOfCleanLinesSendsNoWritebacks) {
   Rig rig;
   for (Addr a = 0xA000; a < 0xA200; a += 64) {
     bool done = false;
-    rig.sys->access(1, a, a, AccessKind::Read, [&](Cycle) { done = true; });
+    rig.sys->access(1, a, a, AccessKind::Read, [&] { done = true; });
     rig.eq.run();
     ASSERT_TRUE(done);
   }

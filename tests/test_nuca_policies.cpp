@@ -96,8 +96,7 @@ TEST(RNuca, FirstTouchIsPrivateToLocalBank) {
 TEST(RNuca, SecondCoreReadMakesSharedRO) {
   RNucaRig rig;
   rig.p.on_access(0, 0x10000000, AccessKind::Read);
-  const Cycle penalty = rig.p.on_access(1, 0x10000000, AccessKind::Read);
-  EXPECT_GT(penalty, 0u);
+  rig.p.on_access(1, 0x10000000, AccessKind::Read);
   const auto c = rig.p.census();
   EXPECT_EQ(c.shared_ro_pages, 1u);
   EXPECT_EQ(rig.p.reclassifications(), 1u);

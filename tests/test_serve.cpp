@@ -80,6 +80,28 @@ TEST(ServeArrival, RejectsMalformedSpecsLoudly) {
   EXPECT_THROW(ArrivalSpec::parse("mmpp:gap=40k,dwell=0"), RequireError);
 }
 
+// Numbers past 64 bits used to wrap silently (gap=2^64+1 parsed as 1).
+TEST(ServeArrival, RejectsNumbersThatDoNotFit) {
+  EXPECT_THROW(ArrivalSpec::parse("poisson:gap=18446744073709551617"),
+               RequireError);
+  EXPECT_THROW(ArrivalSpec::parse("poisson:gap=18446744073709552k"),
+               RequireError);
+  EXPECT_THROW(parse_weights("18446744073709551617", 1), RequireError);
+  // The largest values still parse, and G joins the k/M multipliers.
+  EXPECT_EQ(ArrivalSpec::parse("poisson:gap=18446744073709551615").gap,
+            ~Cycle{0});
+  EXPECT_EQ(ArrivalSpec::parse("fixed:gap=18446744073709551k").gap,
+            18'446'744'073'709'551'000u);
+  EXPECT_EQ(ArrivalSpec::parse("mmpp:gap=2G,burst=8k,dwell=1G").gap,
+            2'000'000'000u);
+}
+
+// fixed: used to skip the runaway guard every other kind has.
+TEST(ServeArrival, FixedArrivalsObeyTheRunawayGuard) {
+  const ArrivalSpec spec = ArrivalSpec::parse("fixed:gap=1");
+  EXPECT_THROW(spec.generate(600'000, {1}, 7), RequireError);
+}
+
 TEST(ServeArrival, TraceIsDeterministicAndSeedSensitive) {
   const ArrivalSpec spec = ArrivalSpec::parse("poisson:gap=10k");
   const std::vector<unsigned> w{1, 1};

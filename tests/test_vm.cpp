@@ -386,41 +386,6 @@ TEST(VmMmu, TlbHitsReturnThePageTableFrame) {
   }
 }
 
-TEST(VmMmu, OneGigabytePages) {
-  CacheRig rig;
-  VmConfig cfg = vm_on(ThpPolicy::Always);
-  cfg.use_1g = true;
-  mem::PageTable pt({}, cfg);
-  Mmu mmu(0, rig.eq, &rig.sys, pt, {}, cfg);
-  Cycle lat = kNeverCycle;
-  Addr pa = 0;
-  const auto translate = [&](Addr va) {
-    lat = kNeverCycle;
-    mmu.translate(va, [&](Cycle c, Addr p) {
-      lat = c;
-      pa = p;
-    });
-    rig.eq.run();
-  };
-  const Addr base = 4 * kPage1G;
-  const Addr va = base + 768 * kMiB;
-  translate(va);  // first touch of the 1G-aligned region
-  EXPECT_EQ(pt.pages_of(kPage1G), 1u);
-  EXPECT_EQ(pt.mapped_pages(), 1u);
-  const mem::PageTable::PageMapping m = pt.touch_page(base);
-  EXPECT_EQ(m.va_base, base);
-  EXPECT_EQ(m.span, kPage1G);
-  EXPECT_EQ(pa, m.pa_base + 768 * kMiB);
-  translate(va);  // repeat: L1 hit in the 1G array
-  EXPECT_EQ(lat, cfg.l1_latency);
-  EXPECT_EQ(pa, m.pa_base + 768 * kMiB);
-  // A cold walk to a 1G leaf loads the PML4E and the PDPTE only.
-  PageWalker w(0, rig.eq, &rig.sys, cfg);
-  EXPECT_EQ(w.charge_walk(base, kPage1G),
-            cfg.psc_latency + 2 * cfg.walk_charge_per_level);
-  rig.eq.run();
-}
-
 // --- end to end ------------------------------------------------------------
 
 TEST(VmEndToEnd, HugePagesCollapseRegistration) {
