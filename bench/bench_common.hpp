@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
+#include "common/read_number.hpp"
+#include "common/require.hpp"
 #include "harness/figures.hpp"
 #include "harness/paper_ref.hpp"
 #include "harness/runner.hpp"
@@ -40,14 +42,22 @@ inline ckpt::Options& ckpt_flags() {
   return opts;
 }
 
-/// "50k" / "2M" / "12345" → cycles. Returns 0 on garbage (flag ignored).
-inline Cycle parse_cycles(const std::string& s) {
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) return 0;
-  if (end != nullptr && *end == 'k') v *= 1e3;
-  else if (end != nullptr && *end == 'M') v *= 1e6;
-  return static_cast<Cycle>(v);
+/// The number a numeric flag's @p text spells ("12345", or with @p scaled
+/// "50k" / "2M" / "1G"). Text that is empty, has trailing junk, overflows
+/// @p max or, with @p positive, reads 0 exits with status 2 naming @p flag.
+inline std::uint64_t number_flag(const std::string& flag,
+                                 const std::string& text, bool scaled,
+                                 std::uint64_t max, bool positive) {
+  try {
+    const ParsedNumber n = read_number(text, flag, scaled, max);
+    if (n.length > 0 && n.length == text.size() && (n.value > 0 || !positive))
+      return n.value;
+  } catch (const RequireError&) {  // overflow: reported below
+  }
+  std::fprintf(stderr, "%s: expected a %snumber%s, got '%s'\n",
+               flag.c_str(), positive ? "positive " : "",
+               scaled ? " (k/M/G suffixes ok)" : "", text.c_str());
+  std::exit(2);
 }
 
 /// First SIGINT/SIGTERM: request a cooperative interrupt — a serving run
@@ -67,28 +77,29 @@ extern "C" inline void bench_interrupt_handler(int sig) {
 ///
 ///   --jobs N | -j N          simulations run N at a time (default: all cores)
 ///   --checkpoint-dir PATH    serving runs publish quiescent-point snapshots
-///   --checkpoint-every N     snapshot cadence in simulated cycles (k/M
+///   --checkpoint-every N     snapshot cadence in simulated cycles (k/M/G
 ///                            suffixes ok; serving binaries default it when
 ///                            only --checkpoint-dir is given)
 ///   --resume                 resume serving runs from the newest valid
 ///                            snapshot in --checkpoint-dir
+///
+/// A number flag whose value is missing or malformed exits with status 2.
 inline void init(int argc, char** argv) {
   std::signal(SIGINT, bench_interrupt_handler);
   std::signal(SIGTERM, bench_interrupt_handler);
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    const std::string next = i + 1 < argc ? argv[i + 1] : "";
     if (a == "--jobs" || a == "-j") {
-      if (i + 1 < argc) {
-        jobs_flag() = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else {
-        std::fprintf(stderr, "%s requires a value\n", a.c_str());
-      }
+      jobs_flag() = static_cast<unsigned>(
+          number_flag(a, next, false, kUnsignedMax, false));
+      ++i;
     } else if (a == "--checkpoint-dir") {
       if (i + 1 < argc) ckpt_flags().dir = argv[++i];
       else std::fprintf(stderr, "%s requires a value\n", a.c_str());
     } else if (a == "--checkpoint-every") {
-      if (i + 1 < argc) ckpt_flags().every = parse_cycles(argv[++i]);
-      else std::fprintf(stderr, "%s requires a value\n", a.c_str());
+      ckpt_flags().every = number_flag(a, next, true, kNeverCycle, true);
+      ++i;
     } else if (a == "--resume") {
       ckpt_flags().resume = true;
     }
@@ -145,7 +156,7 @@ inline std::vector<RunResult> suite_srt() {
 ///   --heatmaps-json PATH   end-of-run heatmaps, JSON
 ///   --latency-report PATH  tdn-obs-report-v1 JSON: latency attribution +
 ///                          tail histograms + task critical path
-///   --epoch-cycles N       sampling period in simulated cycles
+///   --epoch-cycles N       sampling period in simulated cycles (k/M/G ok)
 ///   --obs-workload NAME    workload to instrument (default gauss)
 ///   --obs-policy NAME      snuca | rnuca | tdnuca | bypass | dryrun
 ///
@@ -170,7 +181,8 @@ inline void obs_section(int argc, char** argv) {
     else if (a == "--heatmaps") cfg.obs.heatmaps_path = val(i);
     else if (a == "--heatmaps-json") cfg.obs.heatmaps_json_path = val(i);
     else if (a == "--latency-report") cfg.obs.latency_report_path = val(i);
-    else if (a == "--epoch-cycles") cfg.obs.epoch_cycles = std::strtoull(val(i).c_str(), nullptr, 10);
+    else if (a == "--epoch-cycles")
+      cfg.obs.epoch_cycles = number_flag(a, val(i), true, kNeverCycle, true);
     else if (a == "--obs-workload") {
       cfg.workload = val(i);
       // Reject typos up front with the full menu — a bad name would

@@ -173,23 +173,27 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-std::string FaultPlan::canonical() const {
+std::string to_string(const FaultEvent& ev) {
   std::ostringstream os;
-  bool first = true;
-  for (const FaultEvent& ev : events_) {
-    if (!first) os << ',';
-    first = false;
-    os << to_string(ev.kind) << '@';
-    if (is_link_kind(ev.kind)) {
-      os << '(' << ev.ax << ',' << ev.ay << ")-(" << ev.bx << ',' << ev.by << ')';
-    } else {
-      os << ev.unit;
-    }
-    if (ev.at != 0) os << ":cycle=" << ev.at;
-    if (ev.factor != 1) os << ":x" << ev.factor;
-    if (ev.length != 0) os << ":len=" << ev.length;
+  os << to_string(ev.kind) << '@';
+  if (is_link_kind(ev.kind)) {
+    os << '(' << ev.ax << ',' << ev.ay << ")-(" << ev.bx << ',' << ev.by << ')';
+  } else {
+    os << ev.unit;
   }
+  if (ev.at != 0) os << ":cycle=" << ev.at;
+  if (ev.factor != 1) os << ":x" << ev.factor;
+  if (ev.length != 0) os << ":len=" << ev.length;
   return os.str();
+}
+
+std::string FaultPlan::canonical() const {
+  std::string s;
+  for (const FaultEvent& ev : events_) {
+    if (!s.empty()) s += ',';
+    s += to_string(ev);
+  }
+  return s;
 }
 
 }  // namespace tdn::fault

@@ -47,6 +47,9 @@ struct FaultEvent {
   Cycle length = 0;         ///< stall length in cycles (param `len=`)
 };
 
+/// The event's canonical spelling, e.g. "bank_fail@3:cycle=1000".
+std::string to_string(const FaultEvent& ev);
+
 class FaultPlan {
  public:
   FaultPlan() = default;

@@ -33,6 +33,19 @@ FaultInjector::FaultInjector(FaultPlan plan, FaultConfig cfg, Targets t,
       health_(num_banks, line_size) {
   TDN_REQUIRE(t_.eq != nullptr && t_.mesh != nullptr,
               "fault injector needs an event queue and a mesh");
+  // Every unit the plan names must exist: an index past the machine would
+  // otherwise hit another unit, or fail only when its event fires.
+  const unsigned w = t_.mesh->width();
+  const unsigned h = t_.mesh->height();
+  for (const FaultEvent& ev : plan_.events()) {
+    bool exists = ev.unit < num_banks;  // a bank, or a core's RRT
+    if (ev.kind == FaultKind::LinkFail || ev.kind == FaultKind::LinkDegrade)
+      exists = ev.ax < w && ev.ay < h && ev.bx < w && ev.by < h;
+    else if (ev.kind == FaultKind::DramStall && t_.mcs != nullptr)
+      exists = ev.unit < t_.mcs->count();
+    TDN_REQUIRE(exists, "fault plan: " + to_string(ev) +
+                            " names a unit this machine does not have");
+  }
   const std::string canon = plan_.canonical();
   seed_base_ = fnv1a64(canon.data(), canon.size()) ^ cfg_.seed;
 }
@@ -62,17 +75,15 @@ void FaultInjector::arm_from(Cycle resume) {
 }
 
 void FaultInjector::replay(const FaultEvent& ev, Cycle resume) {
-  const unsigned n = health_.num_banks();
   switch (ev.kind) {
     case FaultKind::BankFail: {
-      const BankId bank = ev.unit % n;
-      if (health_.bank_ok(bank)) health_.fail_bank(bank);
+      if (health_.bank_ok(ev.unit)) health_.fail_bank(ev.unit);
       // No evacuation: the rebuilt arrays are cold, and the snapshotted
       // lineage already performed (and accounted) the evacuation flushes.
       break;
     }
     case FaultKind::BankSlow:
-      health_.slow_bank(ev.unit % n, ev.factor);
+      health_.slow_bank(ev.unit, ev.factor);
       break;
     case FaultKind::LinkFail:
     case FaultKind::LinkDegrade:
@@ -85,11 +96,10 @@ void FaultInjector::replay(const FaultEvent& ev, Cycle resume) {
       break;
     case FaultKind::DramStall: {
       if (t_.mcs == nullptr) break;
-      const unsigned mc = ev.unit % t_.mcs->count();
       // The original event stalled the controller until at + length; only a
       // horizon still in the future can shape post-resume timing.
       if (ev.at + ev.length > resume)
-        t_.mcs->mc(mc).inject_stall(ev.at + ev.length);
+        t_.mcs->mc(ev.unit).inject_stall(ev.at + ev.length);
       ++health_.counters.dram_stalls;
       break;
     }
@@ -99,9 +109,6 @@ void FaultInjector::replay(const FaultEvent& ev, Cycle resume) {
 void FaultInjector::set_link(const FaultEvent& ev) {
   const noc::Coord a{ev.ax, ev.ay};
   const noc::Coord b{ev.bx, ev.by};
-  TDN_REQUIRE(a.x < t_.mesh->width() && a.y < t_.mesh->height() &&
-                  b.x < t_.mesh->width() && b.y < t_.mesh->height(),
-              "fault plan: link endpoint outside the mesh");
   const CoreId ta = t_.mesh->tile(a);
   const CoreId tb = t_.mesh->tile(b);
   if (ev.kind == FaultKind::LinkFail) {
@@ -130,7 +137,7 @@ void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
   const unsigned n = health_.num_banks();
   switch (ev.kind) {
     case FaultKind::BankFail: {
-      const BankId bank = ev.unit % n;
+      const BankId bank = ev.unit;
       if (!health_.bank_ok(bank)) break;  // already dead
       health_.fail_bank(bank);
       // Recovery, in dependency order: future placements avoid the bank
@@ -148,7 +155,7 @@ void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
       break;
     }
     case FaultKind::BankSlow:
-      health_.slow_bank(ev.unit % n, ev.factor);
+      health_.slow_bank(ev.unit, ev.factor);
       break;
     case FaultKind::LinkFail:
     case FaultKind::LinkDegrade:
@@ -156,7 +163,7 @@ void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
       break;
     case FaultKind::RrtFlip: {
       if (t_.tdnuca == nullptr) break;
-      auto& rrt = t_.tdnuca->rrt(ev.unit % n);
+      auto& rrt = t_.tdnuca->rrt(ev.unit);
       if (rrt.size() == 0) break;  // soft error hit an empty table
       const unsigned idx =
           static_cast<unsigned>(rng.next_below(rrt.size()));
@@ -166,24 +173,23 @@ void FaultInjector::apply(const FaultEvent& ev, std::size_t index) {
       ++health_.counters.rrt_corruptions;
       // The runtime detects the parity error after a delay and conservatively
       // scrubs the damaged range from the RRT and every cache.
-      scrub_rrt(ev.unit % n, entry.prange);
+      scrub_rrt(ev.unit, entry.prange);
       break;
     }
     case FaultKind::RrtEvict: {
       if (t_.tdnuca == nullptr) break;
-      auto& rrt = t_.tdnuca->rrt(ev.unit % n);
+      auto& rrt = t_.tdnuca->rrt(ev.unit);
       if (rrt.size() == 0) break;
       const unsigned idx =
           static_cast<unsigned>(rng.next_below(rrt.size()));
       const AddrRange prange = rrt.evict_entry(idx);
       ++health_.counters.rrt_evictions;
-      scrub_rrt(ev.unit % n, prange);
+      scrub_rrt(ev.unit, prange);
       break;
     }
     case FaultKind::DramStall: {
       if (t_.mcs == nullptr) break;
-      const unsigned mc = ev.unit % t_.mcs->count();
-      t_.mcs->mc(mc).inject_stall(t_.eq->now() + ev.length);
+      t_.mcs->mc(ev.unit).inject_stall(t_.eq->now() + ev.length);
       ++health_.counters.dram_stalls;
       break;
     }

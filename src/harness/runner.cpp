@@ -13,7 +13,6 @@
 #include "common/write_file.hpp"
 #include "harness/results_cache.hpp"
 #include "harness/sweep_runner.hpp"
-#include "multi/multi_system.hpp"
 #include "obs/critical_path.hpp"
 #include "serve/serve_system.hpp"
 
@@ -225,10 +224,9 @@ RunResult run_experiment(const RunConfig& cfg, bool use_cache,
   };
 
   // Serving runs treat the workload string as the tenant list and assemble
-  // an open-arrival ServeSystem; multiprogram mixes assemble a
-  // shared-substrate machine with per-app runtimes; single names build the
-  // classic one-app TiledSystem. Cache lookup/store and obs artifact
-  // plumbing are shared by all three paths.
+  // an open-arrival ServeSystem; every closed run, one program or a mix,
+  // runs on a TiledSystem. Cache lookup/store and obs artifact plumbing are
+  // shared by both paths.
   const multi::MixSpec mix = multi::MixSpec::parse(cfg.workload);
   if (cfg.serve.enabled()) {
     serve::ServeSystem ssys(sys_cfg, mix, cfg.serve,
@@ -246,33 +244,30 @@ RunResult run_experiment(const RunConfig& cfg, bool use_cache,
     ssys.run();
     result.metrics = ssys.collect_stats().all();
     emit_artifacts(nullptr);
-  } else if (mix.is_multi()) {
-    multi::MultiProgramSystem msys(sys_cfg, mix, cfg.multi,
-                                   obs_active ? &rec : nullptr);
-    msys.build(cfg.params);
-    msys.run();
-    result.metrics = msys.collect_stats().all();
-    emit_artifacts(nullptr);
   } else {
-    system::TiledSystem sys(sys_cfg, obs_active ? &rec : nullptr);
-    auto wl = workloads::make_workload(cfg.workload, cfg.params);
-    wl->build(sys);
+    system::TiledSystem sys(sys_cfg, mix, cfg.multi,
+                            obs_active ? &rec : nullptr);
+    sys.build(cfg.params);
     sys.run();
-
     result.metrics = sys.collect_stats().all();
-    emit_artifacts(&sys.runtime().tasks());
-    const auto& ws = wl->stats();
-    result.metrics["workload.input_bytes"] =
-        static_cast<double>(ws.input_bytes);
-    result.metrics["workload.num_tasks"] = static_cast<double>(ws.num_tasks);
-    result.metrics["workload.avg_task_bytes"] =
-        static_cast<double>(ws.avg_task_bytes);
-    result.metrics["workload.num_phases"] =
-        static_cast<double>(ws.num_phases);
-    result.metrics["workload.total_blocks"] =
-        static_cast<double>(ws.input_bytes / 64);
-    add_fig3_tdnuca(sys, result.metrics);
-    add_fig3_rnuca(sys, result.metrics);
+    if (mix.is_multi()) {
+      emit_artifacts(nullptr);
+    } else {
+      emit_artifacts(&sys.runtime().tasks());
+      const auto& ws = sys.app_workload_stats(0);
+      result.metrics["workload.input_bytes"] =
+          static_cast<double>(ws.input_bytes);
+      result.metrics["workload.num_tasks"] =
+          static_cast<double>(ws.num_tasks);
+      result.metrics["workload.avg_task_bytes"] =
+          static_cast<double>(ws.avg_task_bytes);
+      result.metrics["workload.num_phases"] =
+          static_cast<double>(ws.num_phases);
+      result.metrics["workload.total_blocks"] =
+          static_cast<double>(ws.input_bytes / 64);
+      add_fig3_tdnuca(sys, result.metrics);
+      add_fig3_rnuca(sys, result.metrics);
+    }
   }
 
   if (use_cache) ResultsCache::store(key, result.metrics);

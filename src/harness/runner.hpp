@@ -58,8 +58,8 @@ struct ObsArtifacts {
 };
 
 struct RunConfig {
-  /// A workload name, or a '+'-joined mix ("gauss+histo"): mixes run on a
-  /// multi::MultiProgramSystem and report per-app appK.* metrics alongside
+  /// A workload name, or a '+'-joined mix ("gauss+histo"): both run on a
+  /// system::TiledSystem, and mixes report per-app appK.* metrics alongside
   /// the shared-machine totals. With serve.arrival set, the same string
   /// names the *tenants* of an open-arrival serving run instead (single
   /// names allowed: a one-tenant service).

@@ -30,8 +30,8 @@ inline unsigned app_of_vaddr(Addr vaddr) noexcept {
 /// partition k owns rows [k*h/n, (k+1)*h/n). Rows keep each partition
 /// spatially contiguous (its banks are its cores' nearest), which is what a
 /// colocation-aware OS scheduler would hand out. Requires mesh_h % n == 0.
-/// Shared by MultiProgramSystem (per-app partitions) and serve::ServeSystem
-/// (per-slot partitions).
+/// Shared by system::TiledSystem (per-app partitions of a mix) and
+/// serve::ServeSystem (per-slot partitions).
 std::vector<CoreMask> row_partitions(unsigned mesh_w, unsigned mesh_h,
                                      unsigned n);
 

@@ -15,6 +15,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/tile_mask.hpp"
 #include "common/types.hpp"
 #include "fault/health.hpp"
@@ -80,11 +81,15 @@ class MappingPolicy {
   void set_health(const fault::HealthState* health) { health_ = health; }
 
   /// Restrict this policy instance to a machine partition (tdn::multi
-  /// colocation): @p banks are the LLC banks it may map to, @p cores the
-  /// cores whose private caches its relocation flushes may target. Empty
-  /// masks — the default — mean "the whole machine" and keep every decision
+  /// colocation, tdn::serve worker slots): @p banks are the LLC banks it may
+  /// map to, @p cores the cores whose private caches its relocation flushes
+  /// may target. Every core's own bank must be in @p banks, so a core's
+  /// local bank and quadrant always intersect the partition. Empty masks —
+  /// the default — mean "the whole machine" and keep every decision
   /// bit-identical to an unpartitioned policy.
   void set_partition(BankMask banks, CoreMask cores) {
+    TDN_REQUIRE(banks.empty() || (cores & banks) == cores,
+                "a policy partition's cores must be a subset of its banks");
     partition_ = banks;
     partition_cores_ = cores;
     part_banks_.clear();

@@ -83,13 +83,12 @@ MapDecision RNucaPolicy::map(CoreId core, Addr vaddr, Addr paddr,
       if (bank_partition().empty())
         return MapDecision::to_bank(degrade(
             clusters_.bank_for(clusters_.cluster_of(core), paddr), paddr));
-      // Rotational interleave over the quadrant's in-partition banks; a
-      // quadrant fully outside the partition falls back to interleaving.
+      // Rotational interleave over the quadrant's in-partition banks, which
+      // hold at least the core's own (set_partition keeps cores inside the
+      // banks).
       const BankMask m =
           clusters_.mask_of(clusters_.cluster_of(core)) & bank_partition();
-      if (m.empty())
-        return MapDecision::to_bank(
-            degrade(interleave_bank(paddr, num_banks_), paddr));
+      TDN_ASSERT(!m.empty());
       return MapDecision::to_bank(
           degrade(tdnuca::ClusterMap::bank_for_mask(m, paddr), paddr));
     }

@@ -43,15 +43,7 @@ MapDecision TdNucaPolicy::map(CoreId core, Addr /*vaddr*/, Addr paddr,
 
 BankMask TdNucaPolicy::replication_mask(CoreId core) const {
   const BankMask cl = clusters_.mask_of(clusters_.cluster_of(core));
-  if (bank_partition().empty()) return cl;
-  const BankMask m = cl & bank_partition();
-  return m.empty() ? bank_partition() : m;
-}
-
-BankId TdNucaPolicy::local_bank(CoreId core) const {
-  const BankMask part = bank_partition();
-  if (part.empty() || part.test(core)) return core;
-  return part.nth_bit(static_cast<int>(core % part.count()));
+  return bank_partition().empty() ? cl : cl & bank_partition();
 }
 
 unsigned TdNucaPolicy::max_rrt_occupancy() const {

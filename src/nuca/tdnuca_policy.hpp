@@ -45,21 +45,17 @@ class TdNucaPolicy final : public MappingPolicy {
   const tdnuca::ClusterMap& clusters() const noexcept { return clusters_; }
   nuca::CacheOps* ops() const noexcept { return ops_; }
 
-  /// Cluster-replication mask for @p core under the current partition: the
-  /// core's quadrant restricted to this app's banks, or the whole partition
-  /// when the quadrant lies entirely outside it. Identical to the plain
-  /// quadrant mask without a partition.
+  /// Cluster-replication mask for @p core: the core's quadrant, restricted
+  /// to this policy's bank partition when one is set. The core's own bank is
+  /// in both (set_partition keeps cores inside the banks), so it is never
+  /// empty. Local-bank placement needs no helper: it is the core's own bank.
   BankMask replication_mask(CoreId core) const;
-  /// Local-bank placement target for @p core: its own tile's bank, or — for
-  /// a core whose tile is outside the partition (overlapping-core
-  /// colocation) — a partition bank picked by core-id rotation.
-  BankId local_bank(CoreId core) const;
 
   std::uint64_t rrt_hits() const noexcept { return rrt_hits_.value(); }
   std::uint64_t rrt_misses() const noexcept { return rrt_misses_.value(); }
-  /// Mean RRT occupancy, sampled once per map() call (a dense, unbiased
-  /// proxy for "during the whole execution", Sec. V-E).
-  double mean_rrt_occupancy() const noexcept { return occupancy_.mean(); }
+  /// RRT occupancy, sampled once per map() call (a dense, unbiased proxy
+  /// for "during the whole execution", Sec. V-E).
+  const stats::Sampled& occupancy() const noexcept { return occupancy_; }
   unsigned max_rrt_occupancy() const;
 
   // --- checkpoint cold-normalization (tdn::ckpt) ------------------------

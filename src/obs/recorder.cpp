@@ -48,47 +48,25 @@ void Recorder::add_heatmap(std::string name, unsigned w, unsigned h,
   heatmaps_.push_back(Heatmap{std::move(name), w, h, std::move(fill)});
 }
 
-bool Recorder::tick_live(const sim::EventQueue& eq) const noexcept {
-  // The last scheduled tick is still queued iff it has not fired
-  // (tick_pending_), its cycle is still in the future, and the queue has
-  // not dropped any observer event since it was scheduled (run_until drops
-  // past-limit observers; a changed drop count means our tick may be gone,
-  // and re-arming is then the safe side — the generation counter makes a
-  // survivor inert).
-  return tick_pending_ && eq.now() < next_tick_ &&
-         eq.observer_dropped() == drops_at_schedule_;
-}
-
 void Recorder::schedule_tick(sim::EventQueue& eq) {
-  tick_pending_ = true;
-  next_tick_ = eq.now() + cfg_.epoch_cycles;
-  drops_at_schedule_ = eq.observer_dropped();
-  const std::uint64_t gen = ++tick_gen_;
-  eq.schedule_observer_at(next_tick_, [this, &eq, gen] { sample(eq, gen); });
+  eq.schedule_observer_in(cfg_.epoch_cycles, [this, &eq] { sample(eq); });
 }
 
 void Recorder::arm(sim::EventQueue& eq) {
+  TDN_REQUIRE(!armed_, "recorder armed twice");
+  armed_ = true;
   if (!cfg_.epochs || series_.empty()) return;
-  // Re-arming while the previous tick is still queued (a resumed run) must
-  // not start a second tick chain — that would double every epoch row.
-  if (tick_live(eq)) return;
   schedule_tick(eq);
 }
 
-void Recorder::sample(sim::EventQueue& eq, std::uint64_t gen) {
-  if (gen != tick_gen_) return;  // superseded by a later arm(): inert
-  tick_pending_ = false;
-  // A re-armed tick can land on a cycle that already has a row (the drop /
-  // re-arm path); emit each sample cycle once.
-  if (rows_.empty() || rows_.back().first != eq.now()) {
-    std::vector<double> row;
-    row.reserve(series_.size());
-    for (Series& s : series_) row.push_back(s.probe());
-    rows_.emplace_back(eq.now(), std::move(row));
-  }
+void Recorder::sample(sim::EventQueue& eq) {
+  std::vector<double> row;
+  row.reserve(series_.size());
+  for (Series& s : series_) row.push_back(s.probe());
+  rows_.emplace_back(eq.now(), std::move(row));
   // Keep ticking only while the simulation itself is still live; the tick
   // that finds the queue drained is the final (tail) sample.
-  if (eq.real_pending() > 0 && cfg_.epoch_cycles > 0) schedule_tick(eq);
+  if (eq.real_pending() > 0) schedule_tick(eq);
 }
 
 // --------------------------------------------------------------------------

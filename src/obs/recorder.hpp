@@ -114,9 +114,7 @@ class Recorder {
   /// Start epoch sampling on @p eq (no-op unless the epoch sink is enabled).
   /// Sampling ticks at epoch_cycles intervals for as long as the simulation
   /// has real (non-observer) events pending, plus one final tail sample.
-  /// Idempotent while a tick is live: re-arming after run_until() dropped
-  /// the pending tick schedules a fresh one, but re-arming with the tick
-  /// still queued (resumed runs) does not start a duplicate tick chain.
+  /// Call once: every front-end arms from its one run().
   void arm(sim::EventQueue& eq);
 
   // --- trace sink (instrumentation call sites) --------------------------
@@ -154,11 +152,8 @@ class Recorder {
     HeatmapFill fill;
   };
 
-  void sample(sim::EventQueue& eq, std::uint64_t gen);
+  void sample(sim::EventQueue& eq);
   void schedule_tick(sim::EventQueue& eq);
-  /// Whether the tick scheduled by the last schedule_tick() is still queued
-  /// on @p eq (not yet fired, not dropped by a cycle-limited run).
-  bool tick_live(const sim::EventQueue& eq) const noexcept;
 
   RecorderConfig cfg_;
   const sim::EventQueue* eq_ = nullptr;
@@ -171,16 +166,7 @@ class Recorder {
 
   std::vector<Heatmap> heatmaps_;
   std::unique_ptr<LatencyAttribution> attr_;
-
-  // Sampler-tick liveness (see arm()): a tick is live while one is queued
-  // for next_tick_ and the queue has not dropped an observer since it was
-  // scheduled. The generation counter makes superseded ticks inert — a
-  // queued tick from before a re-arm fires as a no-op instead of starting a
-  // second tick chain.
-  bool tick_pending_ = false;
-  Cycle next_tick_ = 0;
-  std::uint64_t drops_at_schedule_ = 0;
-  std::uint64_t tick_gen_ = 0;
+  bool armed_ = false;
 };
 
 /// Artifacts are published through the one atomic writer. The name stays

@@ -1,10 +1,10 @@
 // ServeSystem — open-arrival request serving on one shared NUCA machine.
 //
-// The open-system counterpart of multi::MultiProgramSystem (docs/serving.md):
-// instead of N fixed co-resident applications, task-graph *requests* arrive
-// over simulated time (serve::ArrivalSpec), pass an admission controller with
-// a bounded pending queue, and execute one-at-a-time on row-granular worker
-// slots of one system::Machine. Each request gets a fresh program (runtime,
+// The open-system counterpart of a colocated system::TiledSystem
+// (docs/serving.md): instead of N fixed co-resident applications, task-graph
+// *requests* arrive over simulated time (serve::ArrivalSpec), pass an
+// admission controller with a bounded pending queue, and execute
+// one-at-a-time on row-granular worker slots of one system::Machine. Each request gets a fresh program (runtime,
 // scheduler, hooks) and a kAppStride-aligned address-space slice (slice
 // slot + slots * generation; the wrap-mode AppRouter folds slices back onto
 // slots), so consecutive requests on a slot can never alias in memory and a
@@ -135,8 +135,8 @@ class ServeSystem {
     return machine_.fault_injector();
   }
 
-  /// Machine totals mirror MultiProgramSystem::collect_stats (sim.*, llc.*,
-  /// noc.*, dram.*, energy.*); serving metrics live under serve.* and
+  /// Machine totals mirror TiledSystem::collect_stats (sim.*, llc.*, noc.*,
+  /// dram.*, energy.*); serving metrics live under serve.* and
   /// serve.tenantK.* — see docs/serving.md for every key.
   stats::Registry collect_stats() const;
 

@@ -97,12 +97,8 @@ Cycle EventQueue::run_until(Cycle limit) {
     if (ev->observer) {
       --observer_pending_;
       // Observers past the limit are dropped, not an error: a cycle-limited
-      // run must not be failed by a pending sampler tick. The drop is
-      // counted so the scheduler of a periodic observer can re-arm.
-      if (ev->when > limit) {
-        ++observer_dropped_;
-        continue;
-      }
+      // run must not be failed by a pending sampler tick.
+      if (ev->when > limit) continue;
     }
     if (ev->when != now_) advance(ev->when);
     ev->fn();

@@ -143,11 +143,6 @@ class EventQueue {
   }
   /// Observer events still queued (sampler ticks, watchdog checks).
   std::size_t observer_pending() const noexcept { return observer_pending_; }
-  /// Observer events run_until() dropped because they fell past the cycle
-  /// limit. Schedulers of periodic observers (the obs epoch sampler) compare
-  /// this against a snapshot to learn their tick was discarded and must be
-  /// re-armed rather than assumed live.
-  std::uint64_t observer_dropped() const noexcept { return observer_dropped_; }
   std::uint64_t executed() const noexcept { return executed_; }
 
   /// Event slots ever allocated (pool high-water mark, rounded up to the
@@ -261,7 +256,6 @@ class EventQueue {
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t observer_dropped_ = 0;
   std::size_t observer_pending_ = 0;
 };
 

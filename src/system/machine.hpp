@@ -2,8 +2,8 @@
 // of the paper's Table I with its NoC, edge-placed memory controllers, page
 // table, NUCA policies, coherent cache hierarchy, cores and MMUs, plus the
 // fault injector, watchdog and end-of-run invariant check that guard it.
-// TiledSystem runs one program on it, multi::MultiProgramSystem N colocated
-// programs and serve::ServeSystem a stream of requests on worker slots. Each
+// TiledSystem runs one program or N colocated programs on it to completion,
+// and serve::ServeSystem a stream of requests on worker slots. Each
 // front-end keeps only its programs and its driving loop (DESIGN.md Sec. 3).
 //
 // The hierarchy consults one policy object, and the front-end picks it: the

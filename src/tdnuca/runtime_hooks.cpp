@@ -226,7 +226,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
     // back to S-NUCA interleaving over the healthy set.
     if (health_ != nullptr && health_->any_bank_failed()) {
       if (p == Placement::LocalBank &&
-          !health_->bank_ok(policy_.local_bank(cid))) {
+          !health_->bank_ok(cid)) {
         p = Placement::Unmapped;
       } else if (p == Placement::Replicated) {
         if ((policy_.replication_mask(cid) & health_->healthy_banks())
@@ -237,7 +237,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
 
     PlacedDep pd{a.dep, p, BankMask::none(), {}, 0};
     if (p == Placement::LocalBank) {
-      pd.mask = BankMask::single(policy_.local_bank(cid));
+      pd.mask = BankMask::single(cid);
     } else if (p == Placement::Replicated) {
       // Replicate only over the cluster's surviving banks (the guard
       // above ensures at least one remains).

@@ -417,6 +417,36 @@ TEST(FaultIntegration, RrtCorruptionIsScrubbed) {
             r.get("fault.rrt_corruptions") + r.get("fault.rrt_evictions"));
 }
 
+// A plan names only units the machine has: an index past it would otherwise
+// hit another unit (bank 17 wrapping onto bank 1 on the 16-bank machine) or
+// fail only when its event fires, so the system's construction rejects it.
+TEST(FaultIntegration, PlansNameOnlyUnitsTheMachineHas) {
+  system::SystemConfig cfg;
+  cfg.policy = system::PolicyKind::TdNuca;
+  for (const char* plan : {"bank_fail@17:cycle=5k", "rrt_flip@core16",
+                           "dram_stall@mc8:len=5k", "link_fail@(4,0)-(5,0)"}) {
+    cfg.fault.plan = plan;
+    try {
+      system::TiledSystem sys(cfg);
+      ADD_FAILURE() << plan << " was accepted";
+    } catch (const RequireError& e) {
+      const std::string event = to_string(FaultPlan::parse(plan).events()[0]);
+      EXPECT_NE(std::string(e.what()).find(event), std::string::npos)
+          << e.what();
+    }
+  }
+  workloads::WorkloadParams params;
+  params.scale = 0.1;
+  for (const char* plan :
+       {"bank_fail@15:cycle=5k", "dram_stall@mc7:cycle=1k:len=5k"}) {
+    cfg.fault.plan = plan;
+    system::TiledSystem sys(cfg);
+    workloads::make_workload("md5", params)->build(sys);
+    sys.run();
+    EXPECT_TRUE(sys.completed()) << plan;
+  }
+}
+
 TEST(FaultIntegration, FaultRunsAreBitIdenticalAcrossJobs) {
   std::vector<harness::RunConfig> cfgs;
   for (const char* wl : {"kmeans", "jacobi"}) {

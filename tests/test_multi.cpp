@@ -142,10 +142,9 @@ TEST(MultiProgram, SharedModeSpansTheWholeLlc) {
   EXPECT_EQ(reg.get("multi.partitioned"), 0.0);
 }
 
-// A one-app mix simulates the very machine TiledSystem builds: the AppRouter
-// and the app view sit between the hierarchy and the app's policy, and
-// neither may change a cycle. Every key both front-ends export must match
-// bit for bit.
+// A one-app mix simulates the very machine the one-program constructor
+// builds: both take the one-program path, so they export the same keys, and
+// every value matches bit for bit.
 TEST(MultiProgram, OneAppMixSimulatesTheTiledMachine) {
   workloads::WorkloadParams params;
   params.scale = 0.125;
@@ -176,18 +175,63 @@ TEST(MultiProgram, OneAppMixSimulatesTheTiledMachine) {
 
         const auto a = tiled.collect_stats().all();
         const auto b = mix.collect_stats().all();
-        std::size_t shared = 0;
+        EXPECT_EQ(a.size(), b.size()) << label;
         for (const auto& [key, value] : a) {
           const auto it = b.find(key);
-          if (it == b.end()) continue;
-          ++shared;
+          if (it == b.end()) {
+            ADD_FAILURE() << label << ": the mix lacks " << key;
+            continue;
+          }
           EXPECT_EQ(value, it->second) << label << ": " << key;
         }
-        EXPECT_EQ(shared, vm ? 101u : 91u) << label;
         EXPECT_GT(a.at("sim.cycles"), 0.0) << label;
       }
     }
   }
+}
+
+// A mix exports every key a one-program run does: the machine's totals,
+// per-core and fault keys, and the programs' rrt.*, tdnuca.* and rnuca.*
+// keys combined over the apps. Its multi.* and appK.* keys follow.
+TEST(MultiProgram, MixExportsTheClosedRunKeySet) {
+  system::SystemConfig cfg;
+  cfg.policy = system::PolicyKind::TdNuca;
+  cfg.fault.plan = "bank_fail@3:cycle=5k";
+  MultiProgramSystem td(cfg, MixSpec::parse("gauss+histo"));
+  td.build(small_params());
+  td.run();
+  const auto reg = td.collect_stats();
+  EXPECT_GT(reg.get("rrt.lookups"), 0.0);
+  EXPECT_EQ(reg.get("rrt.lookups"),
+            reg.get("app0.rrt.lookups") + reg.get("app1.rrt.lookups"));
+  for (const char* key :
+       {"rrt.max_occupancy", "rrt.mean_occupancy", "tdnuca.bypass_placements",
+        "tdnuca.local_placements", "tdnuca.replicated_placements",
+        "tdnuca.runtime_overhead_cycles", "tdnuca.translate_pages",
+        "tdnuca.translate_cycles", "flush.busy_cycles", "multi.num_apps"})
+    EXPECT_TRUE(reg.has(key)) << key;
+  for (unsigned c = 0; c < 16; ++c) {
+    for (const char* k : {".tlb_hits", ".tlb_misses", ".tlb_shootdowns"}) {
+      const std::string key = "mem.core" + std::to_string(c) + k;
+      EXPECT_TRUE(reg.has(key)) << key;
+    }
+  }
+  EXPECT_EQ(reg.get("fault.banks_failed"), 1.0);
+  EXPECT_EQ(reg.get("fault.healthy_banks"), 15.0);
+
+  cfg.policy = system::PolicyKind::RNuca;
+  cfg.fault.plan.clear();
+  MultiProgramSystem rn(cfg, MixSpec::parse("gauss+histo"));
+  rn.build(small_params());
+  rn.run();
+  const auto rreg = rn.collect_stats();
+  for (const char* key :
+       {"rnuca.private_pages", "rnuca.shared_ro_pages", "rnuca.shared_pages"})
+    EXPECT_TRUE(rreg.has(key)) << key;
+  EXPECT_GT(rreg.get("rnuca.private_pages") + rreg.get("rnuca.shared_pages"),
+            0.0);
+  EXPECT_FALSE(rreg.has("rrt.lookups"));
+  EXPECT_FALSE(rreg.has("fault.banks_failed"));
 }
 
 TEST(MultiProgram, FingerprintSeparatesColocationOptions) {

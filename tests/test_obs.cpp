@@ -261,7 +261,9 @@ TEST(Recorder, EpochSamplerRowArithmetic) {
   EXPECT_TRUE(JsonChecker(rec.epochs_json()).valid());
 }
 
-TEST(Recorder, DoubleArmDoesNotDuplicateTickChain) {
+// Every front-end arms its recorder once, from its one run(); a second arm
+// would start a second tick chain and double every epoch row.
+TEST(Recorder, ArmTwiceFailsLoudly) {
   RecorderConfig rc;
   rc.epochs = true;
   rc.epoch_cycles = 100;
@@ -273,45 +275,11 @@ TEST(Recorder, DoubleArmDoesNotDuplicateTickChain) {
   rec.attach_clock(&eq);
   for (int i = 1; i <= 5; ++i) eq.schedule_at(i * 100 - 10, [] {});
   rec.arm(eq);
-  // Re-arming with the tick still queued (e.g. a resumed run) must not
-  // start a second tick chain: that would double every epoch row.
-  rec.arm(eq);
-  rec.arm(eq);
+  EXPECT_THROW(rec.arm(eq), RequireError);
   EXPECT_EQ(eq.observer_pending(), 1u);
   eq.run();
   EXPECT_EQ(rec.epoch_rows(), 5u);  // ticks at 100..500, sampled once each
   EXPECT_EQ(probes, 5);
-}
-
-TEST(Recorder, ReArmAfterDroppedTickResumesSampling) {
-  RecorderConfig rc;
-  rc.epochs = true;
-  rc.epoch_cycles = 100;
-  Recorder rec(rc);
-  int probes = 0;
-  rec.add_series("n", [&] { return static_cast<double>(++probes); });
-
-  sim::EventQueue eq;
-  rec.attach_clock(&eq);
-  eq.schedule_at(90, [] {});
-  rec.arm(eq);
-  // The cycle-limited run consumes the real event and drops the pending
-  // observer tick at 100.
-  eq.run_until(95);
-  EXPECT_EQ(eq.observer_dropped(), 1u);
-  EXPECT_EQ(eq.observer_pending(), 0u);
-  EXPECT_EQ(rec.epoch_rows(), 0u);
-
-  // Resuming: arm() detects the dropped tick and starts a fresh chain —
-  // without the guard it would either stay dead or double-sample.
-  eq.schedule_at(290, [] {});
-  rec.arm(eq);
-  EXPECT_EQ(eq.observer_pending(), 1u);
-  eq.run();
-  // Fresh chain from cycle 90: ticks at 190 (real event still pending) and
-  // the 290 tail sample.
-  EXPECT_EQ(rec.epoch_rows(), 2u);
-  EXPECT_EQ(probes, 2);
 }
 
 TEST(Recorder, SamplerDoesNotPerturbEventAccounting) {

@@ -279,6 +279,7 @@ TEST(EventQueue, ObserverBeyondLimitIsDroppedNotFatal) {
   EXPECT_FALSE(observed);
   EXPECT_EQ(eq.executed(), 1u);
   EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_EQ(eq.observer_pending(), 0u);  // dropped, not left queued
 }
 
 TEST(EventQueue, ObserverInterleavesAtCorrectCycles) {
