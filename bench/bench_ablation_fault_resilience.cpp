@@ -94,6 +94,6 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   std::printf("geomean retained speedup under 2 failed banks: %.3f\n",
               harness::geometric_mean(retained));
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -35,6 +35,6 @@ int main(int argc, char** argv) {
   std::printf("expected shape: occupancy and register overhead grow with "
               "fragmentation; performance degrades only once the 64-entry "
               "RRTs overflow.\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

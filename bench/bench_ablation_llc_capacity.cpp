@@ -35,6 +35,6 @@ int main(int argc, char** argv) {
                    stats::Table::num(snuca / tdnuca, 3)});
   }
   std::printf("%s", table.to_string().c_str());
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -38,6 +38,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s", table.to_string().c_str());
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

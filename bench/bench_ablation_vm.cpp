@@ -91,6 +91,6 @@ int main(int argc, char** argv) {
       "coarsens to 2M grain while TD-NUCA placement is unchanged by page "
       "size. madvise hints are issued by the TD-NUCA runtime hooks, so "
       "under R-NUCA madvise behaves as never.\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

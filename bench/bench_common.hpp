@@ -19,6 +19,7 @@
 #include "harness/paper_ref.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep_runner.hpp"
+#include "multi/mix.hpp"
 #include "stats/table.hpp"
 #include "workloads/workload.hpp"
 
@@ -72,8 +73,22 @@ extern "C" inline void bench_interrupt_handler(int sig) {
   std::signal(sig, SIG_DFL);
 }
 
-/// Parse the flags every bench binary shares. Call first in main(); flags
-/// not recognized here (the obs flags) are handled later by obs_section().
+/// The instrumented run the shared observability flags describe;
+/// obs_section() runs it.
+inline harness::RunConfig& obs_flags() {
+  static harness::RunConfig cfg = [] {
+    harness::RunConfig c;
+    // gauss keeps real LLC bank traffic under TD-NUCA (jacobi bypasses ~all
+    // of it, which would make the default bank heatmaps identically zero).
+    c.workload = "gauss";
+    c.policy = PolicyKind::TdNuca;
+    return c;
+  }();
+  return cfg;
+}
+
+/// Parse the flags every bench binary shares. Call first in main(), before
+/// anything runs; flags not listed here are the binary's own.
 ///
 ///   --jobs N | -j N          simulations run N at a time (default: all cores)
 ///   --checkpoint-dir PATH    serving runs publish quiescent-point snapshots
@@ -83,25 +98,71 @@ extern "C" inline void bench_interrupt_handler(int sig) {
 ///   --resume                 resume serving runs from the newest valid
 ///                            snapshot in --checkpoint-dir
 ///
-/// A number flag whose value is missing or malformed exits with status 2.
+/// and the observability flags obs_section() documents. A flag missing its
+/// value, a malformed number, an unknown --obs-policy or a bad
+/// --obs-workload exits with status 2 naming the flag.
 inline void init(int argc, char** argv) {
   std::signal(SIGINT, bench_interrupt_handler);
   std::signal(SIGTERM, bench_interrupt_handler);
+  harness::RunConfig& obs = obs_flags();
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const std::string next = i + 1 < argc ? argv[i + 1] : "";
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s requires a value\n", a.c_str());
+        std::exit(2);
+      }
+      return argv[++i];
+    };
     if (a == "--jobs" || a == "-j") {
       jobs_flag() = static_cast<unsigned>(
-          number_flag(a, next, false, kUnsignedMax, false));
-      ++i;
+          number_flag(a, value(), false, kUnsignedMax, false));
     } else if (a == "--checkpoint-dir") {
-      if (i + 1 < argc) ckpt_flags().dir = argv[++i];
-      else std::fprintf(stderr, "%s requires a value\n", a.c_str());
+      ckpt_flags().dir = value();
     } else if (a == "--checkpoint-every") {
-      ckpt_flags().every = number_flag(a, next, true, kNeverCycle, true);
-      ++i;
+      ckpt_flags().every = number_flag(a, value(), true, kNeverCycle, true);
     } else if (a == "--resume") {
       ckpt_flags().resume = true;
+    } else if (a == "--trace") {
+      obs.obs.trace_path = value();
+    } else if (a == "--trace-coherence") {
+      obs.obs.trace_coherence = true;
+    } else if (a == "--epochs") {
+      obs.obs.epochs_csv_path = value();
+    } else if (a == "--epochs-json") {
+      obs.obs.epochs_json_path = value();
+    } else if (a == "--heatmaps") {
+      obs.obs.heatmaps_path = value();
+    } else if (a == "--heatmaps-json") {
+      obs.obs.heatmaps_json_path = value();
+    } else if (a == "--latency-report") {
+      obs.obs.latency_report_path = value();
+    } else if (a == "--epoch-cycles") {
+      obs.obs.epoch_cycles = number_flag(a, value(), true, kNeverCycle, true);
+    } else if (a == "--obs-workload") {
+      // A workload or a '+'-joined mix; a typo fails here with the full
+      // menu instead of mid-run.
+      obs.workload = value();
+      try {
+        (void)multi::MixSpec::parse(obs.workload);
+      } catch (const RequireError& e) {
+        std::fprintf(stderr, "%s: %s\n", a.c_str(), e.what());
+        std::exit(2);
+      }
+    } else if (a == "--obs-policy") {
+      const std::string p = value();
+      if (p == "snuca") obs.policy = PolicyKind::SNuca;
+      else if (p == "rnuca") obs.policy = PolicyKind::RNuca;
+      else if (p == "tdnuca") obs.policy = PolicyKind::TdNuca;
+      else if (p == "bypass") obs.policy = PolicyKind::TdNucaBypassOnly;
+      else if (p == "dryrun") obs.policy = PolicyKind::TdNucaDryRun;
+      else {
+        std::fprintf(stderr,
+                     "unknown --obs-policy '%s' (valid: snuca, rnuca, "
+                     "tdnuca, bypass, dryrun)\n",
+                     p.c_str());
+        std::exit(2);
+      }
     }
   }
 }
@@ -145,8 +206,8 @@ inline std::vector<RunResult> suite_srt() {
   return suite({PolicyKind::SNuca, PolicyKind::RNuca, PolicyKind::TdNuca});
 }
 
-/// Every figure binary accepts the shared observability flags (in addition
-/// to --jobs/-j, parsed by init()):
+/// Every figure binary accepts the shared observability flags, which
+/// init() reads:
 ///
 ///   --trace PATH           Chrome trace_event JSON (open in Perfetto)
 ///   --trace-coherence      also record per-transaction coherence instants
@@ -157,65 +218,15 @@ inline std::vector<RunResult> suite_srt() {
 ///   --latency-report PATH  tdn-obs-report-v1 JSON: latency attribution +
 ///                          tail histograms + task critical path
 ///   --epoch-cycles N       sampling period in simulated cycles (k/M/G ok)
-///   --obs-workload NAME    workload to instrument (default gauss)
+///   --obs-workload NAME    workload to instrument (default gauss; join
+///                          names with '+' for a multiprogram mix)
 ///   --obs-policy NAME      snuca | rnuca | tdnuca | bypass | dryrun
 ///
 /// If any output flag is present, one instrumented experiment runs (cache
 /// bypassed) and a "tdn obs" section reports the artifacts. The figure
 /// output itself is unaffected: recording never changes simulation results.
-inline void obs_section(int argc, char** argv) {
-  harness::RunConfig cfg;
-  // gauss keeps real LLC bank traffic under TD-NUCA (jacobi bypasses ~all of
-  // it, which would make the default bank heatmaps identically zero).
-  cfg.workload = "gauss";
-  cfg.policy = PolicyKind::TdNuca;
-  auto val = [&](int& i) -> std::string {
-    return i + 1 < argc ? argv[++i] : "";
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trace") cfg.obs.trace_path = val(i);
-    else if (a == "--trace-coherence") cfg.obs.trace_coherence = true;
-    else if (a == "--epochs") cfg.obs.epochs_csv_path = val(i);
-    else if (a == "--epochs-json") cfg.obs.epochs_json_path = val(i);
-    else if (a == "--heatmaps") cfg.obs.heatmaps_path = val(i);
-    else if (a == "--heatmaps-json") cfg.obs.heatmaps_json_path = val(i);
-    else if (a == "--latency-report") cfg.obs.latency_report_path = val(i);
-    else if (a == "--epoch-cycles")
-      cfg.obs.epoch_cycles = number_flag(a, val(i), true, kNeverCycle, true);
-    else if (a == "--obs-workload") {
-      cfg.workload = val(i);
-      // Reject typos up front with the full menu — a bad name would
-      // otherwise surface as an exception mid-run. '+'-joined mixes are
-      // instrumentable too, so validate each component.
-      bool ok = !cfg.workload.empty();
-      for (std::size_t start = 0; ok;) {
-        const std::size_t plus = cfg.workload.find('+', start);
-        const std::string part = cfg.workload.substr(
-            start, plus == std::string::npos ? std::string::npos : plus - start);
-        if (!workloads::is_valid_workload(part)) ok = false;
-        if (plus == std::string::npos) break;
-        start = plus + 1;
-      }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "unknown --obs-workload '%s' (valid: %s; join with '+' "
-                     "for a multiprogram mix)\n",
-                     cfg.workload.c_str(),
-                     workloads::valid_workload_names().c_str());
-        std::exit(2);
-      }
-    }
-    else if (a == "--obs-policy") {
-      const std::string p = val(i);
-      if (p == "snuca") cfg.policy = PolicyKind::SNuca;
-      else if (p == "rnuca") cfg.policy = PolicyKind::RNuca;
-      else if (p == "tdnuca") cfg.policy = PolicyKind::TdNuca;
-      else if (p == "bypass") cfg.policy = PolicyKind::TdNucaBypassOnly;
-      else if (p == "dryrun") cfg.policy = PolicyKind::TdNucaDryRun;
-      else std::fprintf(stderr, "unknown --obs-policy '%s'\n", p.c_str());
-    }
-  }
+inline void obs_section() {
+  const harness::RunConfig& cfg = obs_flags();
   if (!cfg.obs.any()) return;
 
   harness::ObsArtifacts arts;

@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
   std::printf("note: 'notreused' counts blocks whose dependency actually "
               "bypassed the LLC at some point; overlapping dependencies are "
               "deduplicated smallest-first — see DESIGN.md.\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -28,6 +28,6 @@ int main(int argc, char** argv) {
   std::printf("R-NUCA measured geomean: %.3f   paper average: %.3f\n",
               harness::geometric_mean(r_speedups),
               harness::paper::kFig8AvgRnuca);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -16,6 +16,6 @@ int main(int argc, char** argv) {
                    "per-bench paper values are figure estimates except KNN "
                    "0.99 / MD5 0.14)",
                    fig, results);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
               harness::paper::kFig10AvgHitTd);
   std::printf("note: TD-NUCA's hit ratio excludes bypassed accesses, which "
               "never touch the LLC.\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

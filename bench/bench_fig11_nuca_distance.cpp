@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
               "TD-NUCA %.2f\n",
               harness::paper::kFig11DistS, harness::paper::kFig11DistR,
               harness::paper::kFig11DistTd);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

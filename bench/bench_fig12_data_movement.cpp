@@ -16,6 +16,6 @@ int main(int argc, char** argv) {
                    "NoC data movement normalized to S-NUCA "
                    "(paper avgs: R-NUCA 0.84, TD-NUCA 0.62)",
                    fig, results);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

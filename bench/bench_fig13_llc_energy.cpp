@@ -17,6 +17,6 @@ int main(int argc, char** argv) {
                    "LLC dynamic energy normalized to S-NUCA "
                    "(paper: TD-NUCA avg 0.52, best Jacobi 0.10, LU > 1)",
                    fig, results);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

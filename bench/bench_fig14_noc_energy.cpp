@@ -15,6 +15,6 @@ int main(int argc, char** argv) {
                    "NoC dynamic energy normalized to S-NUCA "
                    "(paper: TD-NUCA 0.55-0.80, avg 0.64; R-NUCA avg 0.88)",
                    fig, results);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

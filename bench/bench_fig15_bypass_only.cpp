@@ -32,6 +32,6 @@ int main(int argc, char** argv) {
   std::printf("bypass-only measured geomean: %.3f   paper average: %.3f\n",
               harness::geometric_mean(byp),
               harness::paper::kFig15AvgBypassOnly);
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -176,6 +176,6 @@ int main(int argc, char** argv) {
       harness::geometric_mean(ws_td_part),
       harness::geometric_mean(ws_td_shared),
       harness::geometric_mean(ws_snuca_part));
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -193,6 +193,6 @@ int main(int argc, char** argv) {
   }
   std::printf("arrival process x policy — %s:\n%s", kTenants,
               grid.to_string().c_str());
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

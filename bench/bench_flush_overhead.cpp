@@ -22,6 +22,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("paper: <0.1%% in all benchmarks except Histo (0.49%%)\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -23,6 +23,6 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   std::printf("paper: 14.71 mean occupancy; maxima 23-59 depending on task "
               "size; 64 entries always sufficient\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

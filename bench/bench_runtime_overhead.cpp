@@ -30,6 +30,6 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   std::printf("paper: 0.01%% average, <0.03%% everywhere (dominated by the "
               "placement-decision algorithm)\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

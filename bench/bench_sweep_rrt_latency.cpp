@@ -44,6 +44,6 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   std::printf("paper averages: 1 cyc 0.1%%, 2 cyc 0.5%%, 3 cyc 1.1%%, "
               "4 cyc 1.9%%\n");
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

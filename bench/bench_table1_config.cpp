@@ -50,6 +50,6 @@ int main(int argc, char** argv) {
                  stats::Table::num(cfg.page_table.fragmentation, 2)});
   std::printf("=== Table I: simulator configuration ===\n%s",
               t.to_string().c_str());
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
   }
   std::printf("=== Table II: benchmarks, problem and task sizes ===\n%s",
               t.to_string().c_str());
-  bench::obs_section(argc, argv);
+  bench::obs_section();
   return 0;
 }

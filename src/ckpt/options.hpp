@@ -3,8 +3,7 @@
 // The cadence knob is *behavioral*: reaching a quiescent point means the
 // serving loop pauses dispatch, drains in-flight work and cold-normalizes
 // the machine (serve_system.cpp §checkpointing), which changes downstream
-// timing. It therefore enters RunConfig::fingerprint() via canonical(),
-// with the fixed drain-poll period.
+// timing. It therefore enters RunConfig::fingerprint() via canonical().
 // Counters are not touched: a snapshot records their running totals.
 // The I/O knobs (directory, resume, retention) only say where snapshots go
 // and whether to load one — two runs differing only in those produce
@@ -20,7 +19,8 @@
 namespace tdn::ckpt {
 
 /// Drain-poll period while waiting for in-flight events to settle at a
-/// checkpoint boundary. Part of the schedule, hence in canonical().
+/// checkpoint boundary. A constant of the schedule, like any other code:
+/// changing it moves results and needs a fingerprint schema bump.
 inline constexpr Cycle kSettleGrace = 256;
 
 struct Options {
@@ -44,12 +44,12 @@ struct Options {
   unsigned keep = 2;
 
   bool enabled() const noexcept { return every > 0; }
-  /// Behavioral fields only, e.g. "ck300000/g256" — appended to the
+  /// Behavioral fields only, e.g. "ck300000" — appended to the
   /// RunConfig fingerprint string when enabled() (a disabled checkpoint
   /// leaves existing fingerprints untouched).
   std::string canonical() const {
     std::ostringstream os;
-    os << "ck" << every << "/g" << kSettleGrace;
+    os << "ck" << every;
     return os.str();
   }
 };

@@ -179,6 +179,10 @@ class CoherentSystem final : public nuca::CacheOps {
     std::uint64_t llc_writebacks = 0;
     std::uint64_t bypass_reads = 0;
   };
+  /// Apps (or serving slots) in the attached view; 0 with none attached.
+  unsigned num_apps() const noexcept {
+    return static_cast<unsigned>(app_counters_.size());
+  }
   const AppCounters& app_counters(unsigned app) const {
     return app_counters_.at(app);
   }

@@ -11,16 +11,6 @@
 
 #include <cstdint>
 
-namespace tdn::coherence {
-class CoherentSystem;
-}
-namespace tdn::noc {
-class Network;
-}
-namespace tdn::mem {
-class MemControllers;
-}
-
 namespace tdn::energy {
 
 struct EnergyParams {
@@ -41,12 +31,14 @@ struct EnergyBreakdown {
   double total_pj() const { return llc_pj + noc_pj + dram_pj + l1_pj + rrt_pj; }
 };
 
-/// The raw event counts the model consumes, decoupled from the live
-/// objects. A restored run (tdn::ckpt) sums its snapshot baseline's counts
-/// with the post-restore counts *as integers* and evaluates the model once
-/// on the combined inputs — the only way the interrupted+resumed lineage's
-/// energy is bit-identical to the uninterrupted one (evaluating the linear
-/// model per segment and adding the doubles is not associative).
+/// The raw event counts the model consumes; system::Machine reads them
+/// from its counter totals. A restored run (tdn::ckpt) sums its snapshot
+/// baseline's counts with the post-restore counts *as integers* and
+/// evaluates the model once on the combined inputs — the only way the
+/// interrupted+resumed lineage's energy is bit-identical to the
+/// uninterrupted one (evaluating the linear model per segment and adding
+/// the doubles is not associative). @c rrt_lookups is 0 for policies
+/// without an RRT.
 struct EnergyInputs {
   std::uint64_t llc_requests = 0;
   std::uint64_t llc_misses = 0;
@@ -62,20 +54,6 @@ struct EnergyInputs {
 
 /// Aggregate dynamic energy from explicit event counts.
 EnergyBreakdown compute_energy(const EnergyInputs& in,
-                               const EnergyParams& params = {});
-
-/// The event counts the live objects have accumulated so far.
-EnergyInputs energy_inputs(const coherence::CoherentSystem& caches,
-                           const noc::Network& net,
-                           const mem::MemControllers& mcs,
-                           std::uint64_t rrt_lookups);
-
-/// Aggregate dynamic energy from the run's event counts.
-/// @p rrt_lookups is 0 for policies without an RRT.
-EnergyBreakdown compute_energy(const coherence::CoherentSystem& caches,
-                               const noc::Network& net,
-                               const mem::MemControllers& mcs,
-                               std::uint64_t rrt_lookups,
                                const EnergyParams& params = {});
 
 }  // namespace tdn::energy

@@ -25,9 +25,8 @@ inline constexpr unsigned kLinkWest = 1;
 inline constexpr unsigned kLinkNorth = 2;
 inline constexpr unsigned kLinkSouth = 3;
 
-/// Raw event counters incremented by the degradation paths. Aggregated into
-/// `fault.*` metrics by system::Machine::add_fault_stats when a plan is
-/// active.
+/// Raw event counters incremented by the degradation paths. Exported as
+/// `fault.*` metrics by system::Machine::add_stats when a plan is active.
 struct FaultCounters {
   std::uint64_t banks_failed = 0;
   std::uint64_t banks_slowed = 0;

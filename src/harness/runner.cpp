@@ -27,6 +27,13 @@ std::string cache_key(const RunConfig& cfg) {
   return os.str();
 }
 
+/// Colocation options shape only closed mixes. A plain string test:
+/// describe() also labels failed runs, so it must not itself throw on a bad
+/// mix spelling.
+bool closed_mix(const RunConfig& cfg) {
+  return !cfg.serve.enabled() && cfg.workload.find('+') != std::string::npos;
+}
+
 /// Fig. 3 right bars: classify every dependency's cache blocks by its
 /// lifetime usage in the RTCacheDirectory. A block is NotReused when its
 /// dependency actually bypassed the LLC at some point; otherwise it is
@@ -108,7 +115,7 @@ obs::RecorderConfig ObsOptions::recorder_config() const {
 
 std::uint64_t RunConfig::fingerprint() const {
   std::ostringstream os;
-  // "v8": derived-metric schema version; bump to invalidate cached results
+  // "v9": derived-metric schema version; bump to invalidate cached results
   // when the metric extraction changes (v3 added the per-bank llc.bankN.*
   // keys; v4 added the fault.* keys and folded the fault plan into the
   // system fingerprint; v5 added multiprogram mixes — the appK.* /
@@ -116,14 +123,17 @@ std::uint64_t RunConfig::fingerprint() const {
   // cache.forced_unsafe_evictions; v7 added open-arrival serving — the
   // serve.* keys and the serving options below; v8 added tdn::vm — the
   // mem.* / vm.* / tdnuca.translate_* keys and the vm segment of the
-  // system fingerprint).
-  os << "v8/" << workload << '/' << static_cast<int>(policy) << '/' << params.scale
+  // system fingerprint; v9 gave every run the machine's one key set —
+  // serving gained the per-bank, per-core, flush, rrt.*, tdnuca.*, fault.*
+  // and appK.llc.* keys — and keys only live fields: no slot of a deleted
+  // field, and the colocation options only for a closed mix).
+  os << "v9/" << workload << '/' << static_cast<int>(policy) << '/' << params.scale
      << '/' << params.compute << '/' << params.seed << '/'
-     << multi.canonical() << '/' << sys.fingerprint() << '/'
+     << (closed_mix(*this) ? multi.canonical() : std::string("-")) << '/'
+     << sys.fingerprint() << '/'
      << (serve.enabled() ? serve.canonical() : std::string("-"));
   // Checkpoint cadence is simulated behavior (the drain detour is real
-  // simulated work), so it keys results; appended only when enabled so every
-  // pre-existing fingerprint is unchanged.
+  // simulated work), so it keys the checkpointed serving runs it shapes.
   if (serve.enabled() && ckpt.enabled()) os << '/' << ckpt.canonical();
   const std::string s = os.str();
   return fnv1a64(s.data(), s.size());
@@ -134,10 +144,7 @@ std::string RunConfig::describe() const {
   os << workload << '/' << system::to_string(policy)
      << " scale=" << params.scale << " compute=" << params.compute
      << " seed=" << params.seed;
-  // Plain string test — describe() also labels failed runs, so it must not
-  // itself throw on a bad mix spelling.
-  if (workload.find('+') != std::string::npos)
-    os << " multi=" << multi.canonical();
+  if (closed_mix(*this)) os << " multi=" << multi.canonical();
   if (serve.enabled()) os << " serve=" << serve.canonical();
   if (serve.enabled() && ckpt.enabled()) os << " ckpt=" << ckpt.canonical();
   if (!sys.fault.plan.empty()) os << " faults=\"" << sys.fault.plan << '"';

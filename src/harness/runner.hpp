@@ -67,13 +67,13 @@ struct RunConfig {
   system::PolicyKind policy = system::PolicyKind::SNuca;
   workloads::WorkloadParams params{};
   system::SystemConfig sys{};  ///< policy field is overridden by `policy`
-  multi::MultiOptions multi{}; ///< colocation knobs; ignored for single apps
+  multi::MultiOptions multi{}; ///< colocation knobs; closed mixes only
   serve::ServeOptions serve{}; ///< open-arrival serving (docs/serving.md)
   ObsOptions obs{};            ///< not fingerprinted; see ObsOptions
   /// Quiescent-point checkpointing for serving runs (docs/serving.md
-  /// §checkpoint/restore). Only the simulated-behavior knobs (cadence,
-  /// settle grace) enter the fingerprint; dir/resume/keep are harness
-  /// plumbing. Enabling it bypasses the results cache — a memoized run
+  /// §checkpoint/restore). Only the simulated-behavior knob (the cadence)
+  /// enters the fingerprint; dir/resume/keep are harness plumbing.
+  /// Enabling it bypasses the results cache — a memoized run
   /// never simulates, so it cannot publish snapshots.
   ckpt::Options ckpt{};
 

@@ -108,7 +108,6 @@ SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts) {}
 std::vector<RunResult> SweepRunner::run(const std::vector<RunConfig>& configs) {
   const auto t0 = Clock::now();
   stats_ = SweepStats{};
-  registry_ = stats::Registry{};
   stats_.runs = configs.size();
 
   // Coalesce equal fingerprints: each unique key is simulated exactly once
@@ -185,10 +184,6 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunConfig>& configs) {
       }
       out[pos] = item.result;
       out[pos].wall_ms = item.wall_ms;
-      registry_.set("sweep.run" + std::to_string(pos) + ".wall_ms",
-                    item.wall_ms);
-      registry_.set("sweep.run" + std::to_string(pos) + ".cache_hit",
-                    item.result.from_cache ? 1.0 : 0.0);
     }
   }
 
@@ -199,12 +194,6 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunConfig>& configs) {
     if (item.error != nullptr) ++errored;
   stats_.simulated = items.size() - stats_.cache_hits - errored;
   stats_.wall_ms = ms_since(t0);
-  registry_.set("sweep.total_wall_ms", stats_.wall_ms);
-  registry_.set("sweep.runs", static_cast<double>(stats_.runs));
-  registry_.set("sweep.simulated", static_cast<double>(stats_.simulated));
-  registry_.set("sweep.cache_hits", static_cast<double>(stats_.cache_hits));
-  registry_.set("sweep.deduped", static_cast<double>(stats_.deduped));
-  registry_.set("sweep.jobs", static_cast<double>(stats_.jobs));
 
   progress.summary(stats_);
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "stats/registry.hpp"
 
 namespace tdn::harness {
 
@@ -55,20 +54,14 @@ class SweepRunner {
   /// rethrown after all workers have stopped.
   std::vector<RunResult> run(const std::vector<RunConfig>& configs);
 
-  /// Accounting for the most recent run() call.
+  /// Accounting for the most recent run() call. Each run's wall clock is
+  /// its RunResult::wall_ms, kept out of RunResult::metrics, which stay
+  /// bit-identical between serial and parallel sweeps.
   const SweepStats& stats() const noexcept { return stats_; }
-
-  /// Per-run wall clock and sweep totals from the most recent run() call,
-  /// as a metrics registry: sweep.runN.wall_ms, sweep.runN.cache_hit,
-  /// sweep.total_wall_ms, sweep.simulated, sweep.cache_hits, sweep.jobs.
-  /// Kept separate from RunResult::metrics, which stay bit-identical
-  /// between serial and parallel sweeps (wall clock is not deterministic).
-  const stats::Registry& registry() const noexcept { return registry_; }
 
  private:
   SweepOptions opts_;
   SweepStats stats_;
-  stats::Registry registry_;
 };
 
 /// Resolve a jobs request (0 = auto) against the host, never returning 0.

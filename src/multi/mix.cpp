@@ -27,9 +27,7 @@ const char* to_string(PartitionMode m) {
 }
 
 std::string MultiOptions::canonical() const {
-  // Deleted ways_per_app and overlap_cores keep their v8 slots.
-  return std::string(mode == PartitionMode::Partitioned ? "part" : "shared") +
-         "/w0/ovl0";
+  return mode == PartitionMode::Partitioned ? "part" : "shared";
 }
 
 MixSpec MixSpec::parse(std::string_view text) {

@@ -51,7 +51,7 @@ const char* to_string(PartitionMode m);
 struct MultiOptions {
   PartitionMode mode = PartitionMode::Partitioned;
 
-  std::string canonical() const;  ///< e.g. "part/w0/ovl0", for fingerprints
+  std::string canonical() const;  ///< "part" or "shared", for fingerprints
 };
 
 /// A parsed '+'-joined mix. Single names parse to a one-app spec, which

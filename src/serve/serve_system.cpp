@@ -23,7 +23,6 @@ ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
   if (opts_.adaptive) TDN_REQUIRE(opts_.epoch > 0, "adaptive needs an epoch");
   qos_.resize(tenants_.apps.size());
   epoch_admitted_.assign(tenants_.apps.size(), 0);
-  slot_baseline_.resize(opts_.slots);
 
   // --- worker slots: row-granular machine partitions ---------------------
   const std::vector<CoreMask> part =
@@ -48,8 +47,8 @@ ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
   router_ = std::make_unique<multi::AppRouter>(slot_policies, /*wrap=*/true);
   machine_.build(*router_, nullptr);
 
-  // Per-slot LLC accounting (attribution is by requester core, so slices
-  // beyond the slot count never index the view).
+  // Per-slot LLC accounting, exported as appK.llc.* (attribution is by
+  // requester core, so slices beyond the slot count never index the view).
   machine_.caches().set_app_view(part);
 
   if (rec_ != nullptr) register_observability();
@@ -233,18 +232,16 @@ void ServeSystem::dispatch(unsigned s, unsigned rid) {
                            multi::kAppStride;
   live->vspace = std::make_unique<mem::VirtualSpace>(base);
 
-  const system::PolicySet& policies = *slot.policies;
-  nuca::MappingPolicy* pol = policies.active;
+  system::PolicySet& policies = *slot.policies;
   if (opts_.adaptive)
-    pol = use_tdnuca_ ? static_cast<nuca::MappingPolicy*>(policies.tdnuca.get())
-                      : policies.rnuca.get();
-  router_->set_policy(s, pol);
+    policies.active =
+        use_tdnuca_ ? static_cast<nuca::MappingPolicy*>(policies.tdnuca.get())
+                    : policies.rnuca.get();
+  router_->set_policy(s, policies.active);
 
-  nuca::TdNucaPolicy* td =
-      pol == policies.tdnuca.get() ? policies.tdnuca.get() : nullptr;
   // Distinct jitter stream per request id: back-to-back requests on a slot
   // must not mirror each other's dispatch noise.
-  live->program = machine_.make_program(td, slot.cores, rid + 1);
+  live->program = machine_.make_program(policies, slot.cores, rid + 1);
 
   workloads::WorkloadParams p = params_;
   p.scale = opts_.request_scale;
@@ -382,7 +379,9 @@ namespace {
 
 // v2: AllocState grew vm_words (tdn::vm buddy-allocator state; empty for
 // legacy snapshots, but the field is always present in the encoding).
-constexpr std::uint32_t kPayloadVersion = 2;
+// v3: the machine's counter totals are (name, value) pairs, and the slots'
+// LLC counters are among them (appK.llc.*).
+constexpr std::uint32_t kPayloadVersion = 3;
 
 /// Sparse histogram encoding: (count, sum, min, max) then the nonzero
 /// buckets as (index, count) pairs. Bit-exact: restore() reproduces every
@@ -422,16 +421,6 @@ void decode_hist(ckpt::Decoder& d, obs::LatencyHistogram& h) {
   if (total != count)
     throw ckpt::SnapshotError("snapshot histogram bucket/count mismatch");
   h.restore(counts, count, sum, mn, mx);
-}
-
-/// Apply @p f field by field across AppCounters, in snapshot order.
-template <class F, class... C>
-void each_app_counter(F&& f, C&... c) {
-  f(c.llc_requests...);
-  f(c.llc_hits...);
-  f(c.llc_misses...);
-  f(c.llc_writebacks...);
-  f(c.bypass_reads...);
 }
 
 }  // namespace
@@ -552,13 +541,7 @@ std::string ServeSystem::encode_snapshot() const {
   encode_hist(e, queue_wait_);
   encode_hist(e, service_);
   e.u64(slots_.size());
-  for (unsigned s = 0; s < slots_.size(); ++s) {
-    e.u64(slots_[s].generation);
-    coherence::CoherentSystem::AppCounters t = slot_baseline_[s];
-    each_app_counter([](auto& a, const auto& b) { a += b; }, t,
-                     machine_.caches().app_counters(s));
-    each_app_counter([&e](std::uint64_t v) { e.u64(v); }, t);
-  }
+  for (const Slot& slot : slots_) e.u64(slot.generation);
   machine_.encode_baseline(e);
   return e.take();
 }
@@ -625,11 +608,7 @@ void ServeSystem::resume_from(const ckpt::Snapshot& snap) {
   decode_hist(d, service_);
   if (d.u64() != slots_.size())
     throw ckpt::SnapshotError("snapshot slot count mismatch");
-  for (unsigned s = 0; s < slots_.size(); ++s) {
-    slots_[s].generation = static_cast<unsigned>(d.u64());
-    each_app_counter([&d](std::uint64_t& v) { v = d.u64(); },
-                     slot_baseline_[s]);
-  }
+  for (Slot& slot : slots_) slot.generation = static_cast<unsigned>(d.u64());
   machine_.decode_baseline(d);
   if (!d.done())
     throw ckpt::SnapshotError("snapshot payload has trailing bytes");
@@ -644,8 +623,7 @@ stats::Registry ServeSystem::collect_stats() const {
   stats::Registry r;
   r.set("sim.cycles", static_cast<double>(makespan_));
   r.set("tasks.completed", static_cast<double>(tasks_total_));
-  // Machine totals are `baseline + fresh`; the baseline is nonzero only in
-  // a run restored from a snapshot.
+  // The machine's keys continue a restored snapshot's totals.
   machine_.add_stats(r);
 
   // --- serving aggregates ------------------------------------------------
@@ -702,17 +680,9 @@ stats::Registry ServeSystem::collect_stats() const {
     emit_hist(p + ".queue_wait", q.queue_wait);
   }
 
-  // Per-slot LLC view (the AppCounters, plus their restored baselines).
   for (unsigned s = 0; s < opts_.slots; ++s) {
-    const auto& ac = machine_.caches().app_counters(s);
-    const auto& sb = slot_baseline_[s];
-    const std::string p = "serve.slot" + std::to_string(s);
-    r.set(p + ".llc.requests",
-          static_cast<double>(sb.llc_requests + ac.llc_requests));
-    r.set(p + ".llc.hits", static_cast<double>(sb.llc_hits + ac.llc_hits));
-    r.set(p + ".llc.misses",
-          static_cast<double>(sb.llc_misses + ac.llc_misses));
-    r.set(p + ".requests_served", static_cast<double>(slots_[s].generation));
+    r.set("serve.slot" + std::to_string(s) + ".requests_served",
+          static_cast<double>(slots_[s].generation));
   }
   return r;
 }

@@ -32,7 +32,7 @@
 // quiescent point (no slot busy, no transaction in flight), cold-normalizes
 // the machine (arrays, TLBs, RRTs, page classifications, VA mappings) and
 // publishes a crash-safe snapshot of the logical serving state, which
-// records the machine's and the slots' running counter totals. Because the
+// records the machine's running counter totals by name. Because the
 // continuing run performs the *same* cold reset it snapshots, a run restored
 // from any snapshot replays the identical event stream, and seeding its
 // counters with the snapshot's totals makes end-of-run metrics — counts,
@@ -135,9 +135,9 @@ class ServeSystem {
     return machine_.fault_injector();
   }
 
-  /// Machine totals mirror TiledSystem::collect_stats (sim.*, llc.*, noc.*,
-  /// dram.*, energy.*); serving metrics live under serve.* and
-  /// serve.tenantK.* — see docs/serving.md for every key.
+  /// The machine's keys, as every run exports them (slot K's LLC view is
+  /// appK.llc.*); serving metrics live under serve.*, serve.tenantK.* and
+  /// serve.slotK.* — see docs/serving.md for every key.
   stats::Registry collect_stats() const;
 
  private:
@@ -245,9 +245,6 @@ class ServeSystem {
   bool marker_alive_ = false;  ///< a cadence marker is scheduled
   Cycle next_marker_at_ = 0;   ///< its absolute cycle (valid when alive)
   std::uint64_t snapshots_written_ = 0;
-  /// Per-slot AppCounters totals of a restored snapshot; zero otherwise
-  /// (they feed the serve.slotN.llc.* keys).
-  std::vector<coherence::CoherentSystem::AppCounters> slot_baseline_;
   bool resumed_ = false;
   Cycle resume_cycle_ = 0;
   std::uint64_t cursor_ = 0;  ///< arrivals consumed before the snapshot

@@ -1,5 +1,6 @@
 #include "system/machine.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -43,14 +44,10 @@ std::uint64_t SystemConfig::fingerprint() const {
      << core.load_issue_cost << '/' << runtime.dispatch_overhead << '/'
      << runtime.per_dep_overhead << '/' << runtime.dispatch_jitter << '/'
      << runtime.jitter_seed << '/' << tdnuca.rrt_entries << '/'
-     << tdnuca.rrt_latency << '/'
-     // Deleted bypass_only, dry_run and line_size keep their v8 slots.
-     << "0/"
-     // Deleted R-NUCA penalties keep their v8 slots.
-     << "600/40/" << hooks.decision_overhead << '/' << hooks.isa.per_rrt_slot
-     << '/' << hooks.isa.issue_overhead << '/' << hooks.isa.flush_poll_overhead
-     << "/0/64/"
-     << network.dead_link_backoff << '/' << network.dead_link_max_retries
+     << tdnuca.rrt_latency << '/' << hooks.decision_overhead << '/'
+     << hooks.isa.per_rrt_slot << '/' << hooks.isa.issue_overhead << '/'
+     << hooks.isa.flush_poll_overhead << '/' << network.dead_link_backoff
+     << '/' << network.dead_link_max_retries
      << '/' << fault::FaultPlan::parse(fault.plan).canonical() << '/'
      << fault.seed << '/' << fault.rrt_scrub_delay << '/' << vm.canonical();
   const std::string s = os.str();
@@ -59,14 +56,28 @@ std::uint64_t SystemConfig::fingerprint() const {
 
 namespace {
 
-double mean(double total, double weight) {
-  return weight > 0 ? total / weight : 0.0;
+double ratio(std::uint64_t part, std::uint64_t whole) {
+  return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
+                   : 0.0;
 }
 
-void put(ckpt::Encoder& e, std::uint64_t v) { e.u64(v); }
-void put(ckpt::Encoder& e, double v) { e.f64(v); }
-void get(ckpt::Decoder& d, std::uint64_t& v) { v = d.u64(); }
-void get(ckpt::Decoder& d, double& v) { v = d.f64(); }
+/// The energy model's inputs from the machine's counter totals.
+energy::EnergyInputs energy_inputs(
+    const std::map<std::string, std::uint64_t>& t) {
+  energy::EnergyInputs in;
+  in.llc_requests = t.at("llc.requests");
+  in.llc_misses = t.at("llc.misses");
+  in.llc_writebacks = t.at("llc.writebacks");
+  in.flush_llc_lines = t.at("_flush.llc_lines");
+  in.l1_hits = t.at("l1.hits");
+  in.l1_misses = t.at("l1.misses");
+  in.flush_l1_lines = t.at("_flush.l1_lines");
+  in.noc_router_bytes = t.at("noc.router_bytes");
+  in.dram_accesses = t.at("dram.accesses");
+  const auto rrt = t.find("rrt.lookups");
+  in.rrt_lookups = rrt == t.end() ? 0 : rrt->second;
+  return in;
+}
 
 std::string nonzero_list(const char* unit, unsigned n,
                          const std::function<std::uint64_t(unsigned)>& get) {
@@ -188,8 +199,10 @@ void Machine::wire_faults(nuca::TdNucaPolicy* rrt) {
   net_->set_health(hs);
 }
 
-Program Machine::make_program(nuca::TdNucaPolicy* td, const CoreMask& cores,
+Program Machine::make_program(PolicySet& set, const CoreMask& cores,
                               std::uint64_t stream) {
+  nuca::TdNucaPolicy* td =
+      set.active == set.rnuca.get() ? nullptr : set.tdnuca.get();
   Program p;
   switch (cfg_.scheduler) {
     case SchedulerKind::Fifo:
@@ -208,7 +221,7 @@ Program Machine::make_program(nuca::TdNucaPolicy* td, const CoreMask& cores,
       variant = tdnuca::Variant::DryRun;
     auto hooks = std::make_unique<tdnuca::TdNucaRuntimeHooks>(
         *td, page_table_, cfg_.num_cores(), variant,
-        cfg_.hierarchy.l1.line_size, cfg_.hooks, rec_);
+        cfg_.hierarchy.l1.line_size, set.hooks, cfg_.hooks, rec_);
     hooks->set_health(health());
     p.hooks_td = hooks.get();
     p.hooks = std::move(hooks);
@@ -395,183 +408,184 @@ void Machine::check_invariants(const nuca::TdNucaPolicy* policy,
   TDN_CHECK(report.ok(), report.to_string());
 }
 
-template <class F, class... C>
-void Machine::each(F&& f, C&... c) {
-  f(c.llc_hits...);
-  f(c.bypass_reads...);
-  f(c.noc_messages...);
-  f(c.en.llc_requests...);
-  f(c.en.llc_misses...);
-  f(c.en.llc_writebacks...);
-  f(c.en.flush_llc_lines...);
-  f(c.en.l1_hits...);
-  f(c.en.l1_misses...);
-  f(c.en.flush_l1_lines...);
-  f(c.en.noc_router_bytes...);
-  f(c.en.dram_accesses...);
-  f(c.en.rrt_lookups...);
-  f(c.nuca_total...);
-  f(c.nuca_weight...);
-  f(c.miss_lat_total...);
-  f(c.miss_lat_weight...);
-  f(c.tlb_hits...);
-  f(c.tlb_misses...);
-  f(c.tlb_shootdowns...);
-  f(c.l2_tlb_hits...);
-  f(c.walks...);
-  f(c.walk_loads...);
-  f(c.walk_cycles...);
-  f(c.isa_walk_cycles...);
-  f(c.psc_hits...);
-  f(c.huge_fallbacks...);
-}
-
-Machine::Counters Machine::fresh() const {
-  // RRT lookups of every TD-NUCA policy that places lines (not dry runs).
-  std::uint64_t rrt_lookups = 0;
-  for (const auto& set : policies_)
-    if (set->tdnuca && cfg_.policy != PolicyKind::TdNucaDryRun)
-      rrt_lookups += set->tdnuca->rrt_hits() + set->tdnuca->rrt_misses();
+Machine::Totals Machine::counters() const {
+  Totals t;
   const auto& cs = caches_->stats();
-  Counters c;
-  c.llc_hits = cs.llc_hits.value();
-  c.bypass_reads = cs.bypass_reads.value();
-  c.noc_messages = net_->messages();
-  c.en = energy::energy_inputs(*caches_, *net_, *mcs_, rrt_lookups);
-  c.nuca_total = static_cast<double>(cs.nuca_distance.total());
-  c.nuca_weight = static_cast<double>(cs.nuca_distance.samples());
-  c.miss_lat_total = static_cast<double>(cs.miss_latency.total());
-  c.miss_lat_weight = static_cast<double>(cs.miss_latency.samples());
-  for (const auto& core : cores_) {
-    const vm::Mmu& m = core->mmu();
-    c.tlb_hits += m.tlb_hits();
-    c.tlb_misses += m.tlb_misses();
-    c.tlb_shootdowns += m.tlb_shootdowns();
-    c.l2_tlb_hits += m.l2_tlb_hits();
-    c.walks += m.walks();
-    c.walk_loads += m.walk_loads();
-    c.walk_cycles += m.walk_cycles();
-    c.isa_walk_cycles += m.charge_walk_cycles();
-    c.psc_hits += m.psc_hits();
+  t["sim.events"] = eq_.executed();
+  t["l1.hits"] = cs.l1_hits.value();
+  t["l1.misses"] = cs.l1_misses.value();
+  t["llc.requests"] = cs.llc_requests.value();
+  t["llc.hits"] = cs.llc_hits.value();
+  t["llc.misses"] = cs.llc_misses.value();
+  t["llc.writebacks"] = cs.llc_writebacks.value();
+  t["llc.bypass_reads"] = cs.bypass_reads.value();
+  t["noc.router_bytes"] = net_->total_router_bytes();
+  t["noc.messages"] = net_->messages();
+  t["dram.accesses"] = mcs_->total_accesses();
+  t["cache.forced_unsafe_evictions"] = caches_->forced_unsafe_evictions();
+  // Sums only derived keys read (energy, means).
+  t["_flush.l1_lines"] = cs.flush_l1_lines.value();
+  t["_flush.llc_lines"] = cs.flush_llc_lines.value();
+  t["_nuca.distance_total"] = cs.nuca_distance.total();
+  t["_nuca.distance_samples"] = cs.nuca_distance.samples();
+  t["_l1.miss_latency_total"] = cs.miss_latency.total();
+  t["_l1.miss_latency_samples"] = cs.miss_latency.samples();
+  for (unsigned b = 0; b < cfg_.num_cores(); ++b) {
+    const auto& bc = caches_->bank_counters(b);
+    const std::string p = "llc.bank" + std::to_string(b);
+    t[p + ".requests"] = bc.requests;
+    t[p + ".hits"] = bc.hits;
+    t[p + ".misses"] = bc.misses;
+    t[p + ".writebacks"] = bc.writebacks;
   }
-  c.huge_fallbacks = page_table_.huge_fallbacks();
-  return c;
+  for (unsigned a = 0; a < caches_->num_apps(); ++a) {
+    const auto& ac = caches_->app_counters(a);
+    const std::string p = "app" + std::to_string(a) + ".llc";
+    t[p + ".requests"] = ac.llc_requests;
+    t[p + ".hits"] = ac.llc_hits;
+    t[p + ".misses"] = ac.llc_misses;
+    t[p + ".writebacks"] = ac.llc_writebacks;
+    t[p + ".bypass_reads"] = ac.bypass_reads;
+  }
+  // Per core: the MMU's translation counters, also summed over the cores,
+  // and the flush engine's busy cycles.
+  for (const auto& c : cores_) {
+    const vm::Mmu& m = c->mmu();
+    const std::string p = "mem.core" + std::to_string(c->id());
+    t[p + ".tlb_hits"] = m.tlb_hits();
+    t[p + ".tlb_misses"] = m.tlb_misses();
+    t[p + ".tlb_shootdowns"] = m.tlb_shootdowns();
+    t["tlb.hits"] += m.tlb_hits();
+    t["tlb.misses"] += m.tlb_misses();
+    t["mem.tlb_shootdowns"] += m.tlb_shootdowns();
+    t["flush.busy_cycles"] += caches_->flush_busy_cycles(c->id());
+    if (cfg_.vm.enabled) {
+      t["vm.walks"] += m.walks();
+      t["vm.walk_loads"] += m.walk_loads();
+      t["vm.walk_cycles"] += m.walk_cycles();
+      t["vm.isa_walk_cycles"] += m.charge_walk_cycles();
+      t["vm.psc_hits"] += m.psc_hits();
+      t["vm.l2_tlb_hits"] += m.l2_tlb_hits();
+    }
+  }
+  if (cfg_.vm.enabled) t["vm.huge_fallbacks"] = page_table_.huge_fallbacks();
+  // The program-side counters of every policy set. RRT occupancy pools
+  // every policy's samples; for one policy it is Sampled::mean().
+  for (const auto& set : policies_) {
+    const nuca::TdNucaPolicy* td = set->tdnuca.get();
+    if (td == nullptr) continue;
+    t["rrt.lookups"] += td->rrt_hits() + td->rrt_misses();
+    std::uint64_t& max_occupancy = t["rrt.max_occupancy"];
+    max_occupancy = std::max<std::uint64_t>(max_occupancy,
+                                            td->max_rrt_occupancy());
+    t["_rrt.occupancy_total"] += td->occupancy().total();
+    t["_rrt.occupancy_samples"] += td->occupancy().samples();
+    const tdnuca::HookCounters& h = set->hooks;
+    t["tdnuca.bypass_placements"] += h.bypass_placements;
+    t["tdnuca.local_placements"] += h.local_placements;
+    t["tdnuca.replicated_placements"] += h.replicated_placements;
+    t["tdnuca.runtime_overhead_cycles"] += h.runtime_overhead_cycles;
+    t["tdnuca.translate_pages"] += h.translate_pages;
+    t["tdnuca.translate_cycles"] += h.translate_cycles;
+  }
+  // The plan's failures, slowdowns and DRAM stalls are not here: add_stats
+  // reads them live.
+  if (injector_) {
+    const fault::FaultCounters& fc = injector_->health().counters;
+    t["fault.bounced_requests"] = fc.bounced_requests;
+    t["fault.dead_bank_writebacks"] = fc.dead_bank_writebacks;
+    t["fault.evacuated_lines"] = fc.evacuated_lines;
+    t["fault.evacuated_dirty"] = fc.evacuated_dirty;
+    t["fault.rrt_entries_narrowed"] = fc.rrt_entries_narrowed;
+    t["fault.rrt_entries_dropped"] = fc.rrt_entries_dropped;
+    t["fault.rrt_corruptions"] = fc.rrt_corruptions;
+    t["fault.rrt_evictions"] = fc.rrt_evictions;
+    t["fault.rrt_scrubs"] = fc.rrt_scrubs;
+    t["fault.noc_reroutes"] = fc.noc_reroutes;
+    t["fault.noc_retries"] = fc.noc_retries;
+  }
+  return t;
 }
 
-Machine::Counters Machine::total() const {
-  // Integer counts combine as u64 before any double conversion.
-  Counters t = base_;
-  const Counters f = fresh();
-  each([](auto& a, const auto& b) { a += b; }, t, f);
+Machine::Totals Machine::totals() const {
+  Totals t = counters();
+  // A restored run counts on from its lineage's totals; the RRT high-water
+  // mark is the larger of the two.
+  for (const auto& [key, base] : base_) {
+    std::uint64_t& v = t.at(key);
+    v = key == "rrt.max_occupancy" ? std::max(v, base) : v + base;
+  }
   return t;
 }
 
 energy::EnergyBreakdown Machine::energy(
     const energy::EnergyParams& params) const {
-  return energy::compute_energy(total().en, params);
+  return energy::compute_energy(energy_inputs(totals()), params);
 }
 
 void Machine::add_stats(stats::Registry& r) const {
-  const Counters t = total();
-  r.set("sim.events", static_cast<double>(base_events_ + eq_.executed()));
-  r.set("l1.hits", static_cast<double>(t.en.l1_hits));
-  r.set("l1.misses", static_cast<double>(t.en.l1_misses));
-  r.set("llc.requests", static_cast<double>(t.en.llc_requests));
-  r.set("llc.hits", static_cast<double>(t.llc_hits));
-  r.set("llc.misses", static_cast<double>(t.en.llc_misses));
-  r.set("llc.writebacks", static_cast<double>(t.en.llc_writebacks));
+  const Totals t = totals();
+  for (const auto& [key, v] : t)
+    if (key[0] != '_') r.set(key, static_cast<double>(v));
+
+  // --- derived from the totals -------------------------------------------
   r.set("llc.accesses",
-        static_cast<double>(t.en.llc_requests + t.en.llc_writebacks));
-  const double h = static_cast<double>(t.llc_hits);
-  const double m = static_cast<double>(t.en.llc_misses);
-  r.set("llc.hit_ratio", (h + m) > 0 ? h / (h + m) : 0.0);
-  r.set("llc.bypass_reads", static_cast<double>(t.bypass_reads));
-  r.set("nuca.mean_distance", mean(t.nuca_total, t.nuca_weight));
-  r.set("l1.mean_miss_latency", mean(t.miss_lat_total, t.miss_lat_weight));
-  r.set("noc.router_bytes", static_cast<double>(t.en.noc_router_bytes));
-  r.set("noc.messages", static_cast<double>(t.noc_messages));
-  r.set("dram.accesses", static_cast<double>(t.en.dram_accesses));
-  // The page census is state, not a counter: mappings and the buddy pool
-  // need no baseline.
-  r.set("tlb.hits", static_cast<double>(t.tlb_hits));
-  r.set("tlb.misses", static_cast<double>(t.tlb_misses));
-  r.set("mem.tlb_shootdowns", static_cast<double>(t.tlb_shootdowns));
-  r.set("mem.mapped_pages", static_cast<double>(page_table_.mapped_pages()));
-  r.set("mem.frames_used", static_cast<double>(page_table_.frames_used()));
-  if (cfg_.vm.enabled) {
-    // tdn::vm keys appear only when the subsystem is on so legacy runs keep
-    // the pre-vm key set.
-    r.set("vm.walks", static_cast<double>(t.walks));
-    r.set("vm.walk_loads", static_cast<double>(t.walk_loads));
-    r.set("vm.walk_cycles", static_cast<double>(t.walk_cycles));
-    r.set("vm.isa_walk_cycles", static_cast<double>(t.isa_walk_cycles));
-    r.set("vm.psc_hits", static_cast<double>(t.psc_hits));
-    r.set("vm.l2_tlb_hits", static_cast<double>(t.l2_tlb_hits));
-    r.set("vm.pages_4k",
-          static_cast<double>(page_table_.pages_of(vm::kPage4K)));
-    r.set("vm.pages_2m",
-          static_cast<double>(page_table_.pages_of(vm::kPage2M)));
-    r.set("vm.huge_fallbacks", static_cast<double>(t.huge_fallbacks));
-    r.set("vm.punctured_frames",
-          static_cast<double>(page_table_.punctured_frames()));
+        static_cast<double>(t.at("llc.requests") + t.at("llc.writebacks")));
+  r.set("llc.hit_ratio", ratio(t.at("llc.hits"),
+                               t.at("llc.hits") + t.at("llc.misses")));
+  r.set("nuca.mean_distance", ratio(t.at("_nuca.distance_total"),
+                                    t.at("_nuca.distance_samples")));
+  r.set("l1.mean_miss_latency", ratio(t.at("_l1.miss_latency_total"),
+                                      t.at("_l1.miss_latency_samples")));
+  if (t.count("rrt.lookups") != 0) {
+    r.set("rrt.mean_occupancy", ratio(t.at("_rrt.occupancy_total"),
+                                      t.at("_rrt.occupancy_samples")));
   }
-  const auto e = energy::compute_energy(t.en);
+  for (unsigned a = 0; a < caches_->num_apps(); ++a) {
+    const std::string p = "app" + std::to_string(a) + ".llc";
+    const std::uint64_t hits = t.at(p + ".hits");
+    r.set(p + ".hit_ratio", ratio(hits, hits + t.at(p + ".misses")));
+  }
+  const auto e = energy::compute_energy(energy_inputs(t));
   r.set("energy.llc_pj", e.llc_pj);
   r.set("energy.noc_pj", e.noc_pj);
   r.set("energy.dram_pj", e.dram_pj);
   r.set("energy.total_pj", e.total_pj());
-}
 
-void Machine::add_bank_stats(stats::Registry& r) const {
-  r.set("cache.forced_unsafe_evictions",
-        static_cast<double>(caches_->forced_unsafe_evictions()));
-  for (unsigned b = 0; b < cfg_.num_cores(); ++b) {
-    const auto& bc = caches_->bank_counters(b);
-    const std::string p = "llc.bank" + std::to_string(b);
-    r.set(p + ".requests", static_cast<double>(bc.requests));
-    r.set(p + ".hits", static_cast<double>(bc.hits));
-    r.set(p + ".misses", static_cast<double>(bc.misses));
-    r.set(p + ".writebacks", static_cast<double>(bc.writebacks));
+  // --- read live, with no baseline ---------------------------------------
+  r.set("mem.mapped_pages", static_cast<double>(page_table_.mapped_pages()));
+  r.set("mem.frames_used", static_cast<double>(page_table_.frames_used()));
+  if (cfg_.vm.enabled) {
+    r.set("vm.pages_4k",
+          static_cast<double>(page_table_.pages_of(vm::kPage4K)));
+    r.set("vm.pages_2m",
+          static_cast<double>(page_table_.pages_of(vm::kPage2M)));
+    r.set("vm.punctured_frames",
+          static_cast<double>(page_table_.punctured_frames()));
   }
-}
-
-void Machine::add_core_stats(stats::Registry& r) const {
-  Cycle flush_cycles = 0;
-  for (const auto& c : cores_) {
-    const vm::Mmu& m = c->mmu();
-    const std::string p = "mem.core" + std::to_string(c->id());
-    r.set(p + ".tlb_hits", static_cast<double>(m.tlb_hits()));
-    r.set(p + ".tlb_misses", static_cast<double>(m.tlb_misses()));
-    r.set(p + ".tlb_shootdowns", static_cast<double>(m.tlb_shootdowns()));
-    flush_cycles += caches_->flush_busy_cycles(c->id());
+  auto add = [&r](const std::string& key, std::uint64_t v) {
+    r.set(key, r.get(key) + static_cast<double>(v));
+  };
+  for (const auto& set : policies_) {
+    if (!set->rnuca) continue;
+    const auto c = set->rnuca->census();
+    add("rnuca.private_pages", c.private_pages);
+    add("rnuca.shared_ro_pages", c.shared_ro_pages);
+    add("rnuca.shared_pages", c.shared_pages);
   }
-  r.set("flush.busy_cycles", static_cast<double>(flush_cycles));
-}
-
-void Machine::add_fault_stats(stats::Registry& r) const {
-  if (!injector_) return;
-  const fault::FaultCounters& fc = injector_->health().counters;
-  r.set("fault.banks_failed", static_cast<double>(fc.banks_failed));
-  r.set("fault.banks_slowed", static_cast<double>(fc.banks_slowed));
-  r.set("fault.links_failed", static_cast<double>(fc.links_failed));
-  r.set("fault.links_degraded", static_cast<double>(fc.links_degraded));
-  r.set("fault.bounced_requests", static_cast<double>(fc.bounced_requests));
-  r.set("fault.dead_bank_writebacks",
-        static_cast<double>(fc.dead_bank_writebacks));
-  r.set("fault.evacuated_lines", static_cast<double>(fc.evacuated_lines));
-  r.set("fault.evacuated_dirty", static_cast<double>(fc.evacuated_dirty));
-  r.set("fault.rrt_entries_narrowed",
-        static_cast<double>(fc.rrt_entries_narrowed));
-  r.set("fault.rrt_entries_dropped",
-        static_cast<double>(fc.rrt_entries_dropped));
-  r.set("fault.rrt_corruptions", static_cast<double>(fc.rrt_corruptions));
-  r.set("fault.rrt_evictions", static_cast<double>(fc.rrt_evictions));
-  r.set("fault.rrt_scrubs", static_cast<double>(fc.rrt_scrubs));
-  r.set("fault.noc_reroutes", static_cast<double>(fc.noc_reroutes));
-  r.set("fault.noc_retries", static_cast<double>(fc.noc_retries));
-  r.set("fault.dram_stalls", static_cast<double>(fc.dram_stalls));
-  r.set("fault.healthy_banks",
-        static_cast<double>(injector_->health().num_healthy()));
+  if (injector_) {
+    // A restored injector replays the plan up to the snapshot and counts
+    // its failures, slowdowns and DRAM stalls again, so the live counts are
+    // already the lineage's totals.
+    const fault::FaultCounters& fc = injector_->health().counters;
+    r.set("fault.banks_failed", static_cast<double>(fc.banks_failed));
+    r.set("fault.banks_slowed", static_cast<double>(fc.banks_slowed));
+    r.set("fault.links_failed", static_cast<double>(fc.links_failed));
+    r.set("fault.links_degraded", static_cast<double>(fc.links_degraded));
+    r.set("fault.dram_stalls", static_cast<double>(fc.dram_stalls));
+    r.set("fault.healthy_banks",
+          static_cast<double>(injector_->health().num_healthy()));
+  }
 }
 
 void Machine::cold_normalize() {
@@ -593,13 +607,17 @@ void Machine::cold_normalize() {
 }
 
 void Machine::encode_baseline(ckpt::Encoder& e) const {
-  // The totals are the cumulative machine history. The events field carries
-  // a +1 compensation: the checkpoint event executing right now is counted
-  // by the live queue only after its action returns, but it belongs to the
+  // The totals are the cumulative machine history. sim.events carries a +1
+  // compensation: the checkpoint event executing right now is counted by
+  // the live queue only after its action returns, but it belongs to the
   // restored lineage's past.
-  e.u64(base_events_ + eq_.executed() + 1);
-  const Counters t = total();
-  each([&e](const auto& v) { put(e, v); }, t);
+  Totals t = totals();
+  ++t.at("sim.events");
+  e.u64(t.size());
+  for (const auto& [key, v] : t) {
+    e.str(key);
+    e.u64(v);
+  }
   // Derived-PRNG position of the page allocator: a restored run's
   // first-touch allocations continue the exact fragmentation sample
   // sequence the snapshotted lineage would have drawn.
@@ -611,8 +629,20 @@ void Machine::encode_baseline(ckpt::Encoder& e) const {
 }
 
 void Machine::decode_baseline(ckpt::Decoder& d) {
-  base_events_ = d.u64();
-  each([&d](auto& v) { get(d, v); }, base_);
+  Totals base;
+  for (std::uint64_t n = d.u64(); n > 0; --n) {
+    std::string key = d.str();
+    base[std::move(key)] = d.u64();
+  }
+  const Totals live = counters();
+  if (base.size() != live.size() ||
+      !std::equal(base.begin(), base.end(), live.begin(),
+                  [](const auto& a, const auto& b) {
+                    return a.first == b.first;
+                  }))
+    throw ckpt::SnapshotError(
+        "snapshot counter set differs from the machine's");
+  base_ = std::move(base);
   mem::PageTable::AllocState as;
   as.next_frame = d.u64();
   as.rng_state = d.u64();

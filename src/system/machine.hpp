@@ -13,17 +13,19 @@
 //   Machine m(cfg, rec);               // queue, mesh, page table, NoC, MCs
 //   PolicySet& p = m.add_policies();   // once per program or worker slot
 //   m.build(*p.active, p.tdnuca.get());  // caches, cores, faults, obs
-//   Program prog = m.make_program(p.tdnuca.get(), cores, 0);
+//   Program prog = m.make_program(p, cores, 0);
 //
-// Counters: every key the machine exports is `baseline + fresh`. No layer
-// ever resets a counter, so a snapshot records the running totals, and only
-// a run restored from one (decode_baseline, used by ServeSystem) has a
-// nonzero baseline: the counts of its lineage before the snapshot. Every
-// other run reports exactly its live counters.
+// Counters: the machine lists every counter it owns by its metric key, and
+// every front-end exports the same key set from that list (add_stats). No
+// layer ever resets a counter, so a snapshot records the running totals by
+// name, and only a run restored from one (decode_baseline, used by
+// ServeSystem) adds a baseline: the counts of its lineage before the
+// snapshot. Every other run reports exactly its live counters.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,8 +66,11 @@ struct PolicySet {
   std::unique_ptr<nuca::RNucaPolicy> rnuca;
   std::unique_ptr<nuca::TdNucaPolicy> tdnuca;
   /// What the hierarchy consults. Under TdNucaDryRun it is the S-NUCA
-  /// instance, while the TD-NUCA one keeps the bookkeeping.
+  /// instance, while the TD-NUCA one keeps the bookkeeping; an adaptive
+  /// serving slot points it at the policy its next request maps through.
   nuca::MappingPolicy* active = nullptr;
+  /// What the TD-NUCA runtime hooks of every program on this set counted.
+  tdnuca::HookCounters hooks;
 
   template <class F>
   void for_each(F&& f) const {
@@ -109,11 +114,13 @@ class Machine {
   /// plan's soft errors hit. A machine with TD-NUCA RRTs but no @p rrt
   /// rejects rrt_flip and rrt_evict, which would otherwise hit nothing.
   void build(nuca::MappingPolicy& top, nuca::TdNucaPolicy* rrt);
-  /// The program factory: a scheduler per cfg.scheduler, TD-NUCA runtime
-  /// hooks driving @p td (plain hooks when null) and a runtime over
-  /// @p cores. @p stream decorrelates the dispatch jitter of co-scheduled
-  /// programs; 0 keeps cfg.runtime.jitter_seed.
-  Program make_program(nuca::TdNucaPolicy* td, const CoreMask& cores,
+  /// The program factory: a scheduler per cfg.scheduler, a runtime over
+  /// @p cores and runtime hooks. The hooks are TD-NUCA's, driving @p set's
+  /// TD-NUCA policy and counting into set.hooks, unless the set has none or
+  /// its active policy is its R-NUCA alternate; plain hooks otherwise.
+  /// @p stream decorrelates the dispatch jitter of co-scheduled programs;
+  /// 0 keeps cfg.runtime.jitter_seed.
+  Program make_program(PolicySet& set, const CoreMask& cores,
                        std::uint64_t stream);
 
   // --- running ----------------------------------------------------------
@@ -136,18 +143,14 @@ class Machine {
                         const tdnuca::TdNucaRuntimeHooks* hooks) const;
 
   // --- statistics -------------------------------------------------------
-  // Each front-end calls the pieces its key set has. add_stats adds the
-  // restored baseline in; the other pieces read live counters only, so a
-  // front-end that restores snapshots must not call them.
-  /// sim.events, l1.*, llc.* totals, nuca/noc/dram, TLB and page-table
-  /// aggregates, vm.* (when enabled) and energy.*.
+  /// Every machine key: each counter's total, the keys derived from the
+  /// totals (llc.accesses, hit ratios, means, energy.*) and the gauges,
+  /// which read current state (page census, vm.pages_*, rnuca.*,
+  /// fault.healthy_banks). Per-bank llc.bankN.*, per-core mem.coreN.*,
+  /// flush.busy_cycles and cache.forced_unsafe_evictions always; vm.* when
+  /// cfg.vm is on; rrt.* and tdnuca.* with a TD-NUCA policy; rnuca.* with an
+  /// R-NUCA one; appK.llc.* with an app view; fault.* with a fault plan.
   void add_stats(stats::Registry& r) const;
-  /// cache.forced_unsafe_evictions and the per-bank llc.bankN.* breakdown.
-  void add_bank_stats(stats::Registry& r) const;
-  /// Per-core mem.coreN.tlb_* and the flush engines' flush.busy_cycles.
-  void add_core_stats(stats::Registry& r) const;
-  /// fault.* (only with an active plan, so healthy runs keep their keys).
-  void add_fault_stats(stats::Registry& r) const;
   energy::EnergyBreakdown energy(const energy::EnergyParams& params = {}) const;
 
   // --- checkpoint (tdn::ckpt) --------------------------------------------
@@ -155,10 +158,13 @@ class Machine {
   /// their post-construction state (the allocator position and every
   /// counter survive).
   void cold_normalize();
-  /// The machine half of a snapshot payload: the counter totals and the
-  /// page allocator state. Call from inside the checkpoint event.
+  /// The machine half of a snapshot payload: the counter totals as
+  /// (name, value) pairs and the page allocator state. Call from inside
+  /// the checkpoint event.
   void encode_baseline(ckpt::Encoder& e) const;
   /// Seed the baseline with a snapshot's totals and restore the allocator.
+  /// Throws ckpt::SnapshotError when the snapshot names other counters
+  /// than this machine owns.
   void decode_baseline(ckpt::Decoder& d);
 
   // --- components -------------------------------------------------------
@@ -188,25 +194,14 @@ class Machine {
   void wire_faults(nuca::TdNucaPolicy* rrt);
   void register_observability();
 
-  /// Every counter a snapshot records. The doubles hold integer sums far
-  /// below 2^53, so a restored baseline plus the counts after it is exactly
-  /// the total an uninterrupted run reaches.
-  struct Counters {
-    std::uint64_t llc_hits = 0, bypass_reads = 0, noc_messages = 0;
-    energy::EnergyInputs en;  ///< l1/llc/flush/noc/dram/rrt event counts
-    double nuca_total = 0.0, nuca_weight = 0.0;  ///< Sampled sums, samples
-    double miss_lat_total = 0.0, miss_lat_weight = 0.0;
-    // Translation, summed over every core's MMU.
-    std::uint64_t tlb_hits = 0, tlb_misses = 0, tlb_shootdowns = 0;
-    std::uint64_t l2_tlb_hits = 0, walks = 0, walk_loads = 0;
-    Cycle walk_cycles = 0, isa_walk_cycles = 0;
-    std::uint64_t psc_hits = 0, huge_fallbacks = 0;
-  };
-  /// Apply @p f field by field across @p c, in snapshot order.
-  template <class F, class... C>
-  static void each(F&& f, C&... c);
-  Counters fresh() const;  ///< the live counters
-  Counters total() const;  ///< baseline + fresh
+  /// Counter values by metric key.
+  using Totals = std::map<std::string, std::uint64_t>;
+  /// Every counter the machine owns, live. Keys that start with '_' are
+  /// sums only derived keys read (means, energy); add_stats does not
+  /// export them.
+  Totals counters() const;
+  /// counters() continued from a restored baseline.
+  Totals totals() const;
 
   SystemConfig cfg_;
   obs::Recorder* rec_ = nullptr;
@@ -220,8 +215,7 @@ class Machine {
   std::vector<std::unique_ptr<core::SimCore>> cores_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::Watchdog> watchdog_;
-  Counters base_;  ///< totals before a restore; zero otherwise
-  std::uint64_t base_events_ = 0;  ///< events executed before a restore
+  Totals base_;  ///< totals before a restore; empty otherwise
 };
 
 }  // namespace tdn::system

@@ -61,8 +61,7 @@ TiledSystem::TiledSystem(SystemConfig cfg, multi::MixSpec mix,
   // interleaving).
   for (unsigned a = 0; a < num_apps; ++a) {
     App& app = *apps_[a];
-    app.program =
-        machine_.make_program(app.policies->tdnuca.get(), app.cores, a);
+    app.program = machine_.make_program(*app.policies, app.cores, a);
   }
 
   if (rec != nullptr) register_observability();
@@ -201,48 +200,6 @@ stats::Registry TiledSystem::collect_stats() const {
   r.set("sim.cycles", static_cast<double>(makespan()));
   r.set("tasks.completed", static_cast<double>(tasks_completed()));
   machine_.add_stats(r);
-  machine_.add_bank_stats(r);
-  machine_.add_core_stats(r);
-  machine_.add_fault_stats(r);
-
-  // --- program keys, combined over the apps -----------------------------
-  // Counts are integers far below 2^53, so summing them as doubles is exact.
-  auto sum = [&r](const std::string& key, std::uint64_t v) {
-    r.set(key, r.get(key) + static_cast<double>(v));
-  };
-  std::uint64_t occupancy_total = 0;
-  std::uint64_t occupancy_samples = 0;
-  for (const auto& app : apps_) {
-    if (const nuca::TdNucaPolicy* td = app->policies->tdnuca.get()) {
-      sum("rrt.lookups", td->rrt_hits() + td->rrt_misses());
-      r.set("rrt.max_occupancy",
-            std::max(r.get("rrt.max_occupancy"),
-                     static_cast<double>(td->max_rrt_occupancy())));
-      occupancy_total += td->occupancy().total();
-      occupancy_samples += td->occupancy().samples();
-    }
-    if (const tdnuca::TdNucaRuntimeHooks* h = app->program.hooks_td) {
-      sum("tdnuca.bypass_placements", h->bypass_placements());
-      sum("tdnuca.local_placements", h->local_placements());
-      sum("tdnuca.replicated_placements", h->replicated_placements());
-      sum("tdnuca.runtime_overhead_cycles", h->runtime_overhead_cycles());
-      sum("tdnuca.translate_pages", h->translate_pages());
-      sum("tdnuca.translate_cycles", h->translate_cycles());
-    }
-    if (const nuca::RNucaPolicy* rn = app->policies->rnuca.get()) {
-      const auto c = rn->census();
-      sum("rnuca.private_pages", c.private_pages);
-      sum("rnuca.shared_ro_pages", c.shared_ro_pages);
-      sum("rnuca.shared_pages", c.shared_pages);
-    }
-  }
-  // Pooled over every policy's samples: one policy's Sampled::mean().
-  if (r.has("rrt.lookups")) {
-    r.set("rrt.mean_occupancy",
-          occupancy_samples > 0 ? static_cast<double>(occupancy_total) /
-                                      static_cast<double>(occupancy_samples)
-                                : 0.0);
-  }
   if (!colocated()) return r;
 
   const unsigned n = config().num_cores();
@@ -270,17 +227,6 @@ stats::Registry TiledSystem::collect_stats() const {
     r.set(p + ".cores", static_cast<double>(app.cores.count()));
     r.set(p + ".banks", static_cast<double>(
                             app.banks.empty() ? n : app.banks.count()));
-    const auto& ac = caches.app_counters(a);
-    r.set(p + ".llc.requests", static_cast<double>(ac.llc_requests));
-    r.set(p + ".llc.hits", static_cast<double>(ac.llc_hits));
-    r.set(p + ".llc.misses", static_cast<double>(ac.llc_misses));
-    r.set(p + ".llc.writebacks", static_cast<double>(ac.llc_writebacks));
-    r.set(p + ".llc.bypass_reads", static_cast<double>(ac.bypass_reads));
-    r.set(p + ".llc.hit_ratio",
-          (ac.llc_hits + ac.llc_misses) > 0
-              ? static_cast<double>(ac.llc_hits) /
-                    static_cast<double>(ac.llc_hits + ac.llc_misses)
-              : 0.0);
     const std::uint64_t resident = caches.app_resident_lines(a);
     r.set(p + ".llc.resident_lines", static_cast<double>(resident));
     r.set(p + ".llc.occupancy", static_cast<double>(resident) / llc_cap);

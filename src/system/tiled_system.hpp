@@ -118,10 +118,11 @@ class TiledSystem {
     return machine_.energy(params);
   }
 
-  /// Export the run's statistics into a registry: the machine's keys, the
-  /// programs' rrt.*, tdnuca.* and rnuca.* keys combined over the apps,
-  /// and, with two or more apps, the per-app appK.* namespaces and the
-  /// multi.* colocation aggregates (docs/multiprog.md).
+  /// Export the run's statistics into a registry: sim.cycles,
+  /// tasks.completed, the machine's keys (Machine::add_stats: the rrt.*,
+  /// tdnuca.* and rnuca.* keys combine every app's) and, with two or more
+  /// apps, the rest of the per-app appK.* namespaces and the multi.*
+  /// colocation aggregates (docs/multiprog.md).
   stats::Registry collect_stats() const;
 
  private:

@@ -57,9 +57,10 @@ struct TdNucaRuntimeHooks::IsaTimeline {
 TdNucaRuntimeHooks::TdNucaRuntimeHooks(nuca::TdNucaPolicy& policy,
                                        mem::PageTable& pt, unsigned num_tiles,
                                        Variant variant, unsigned line_size,
+                                       HookCounters& counters,
                                        HooksConfig cfg, obs::Recorder* rec)
     : policy_(policy), pt_(pt), num_tiles_(num_tiles), variant_(variant),
-      line_size_(line_size), cfg_(cfg), rec_(rec) {}
+      line_size_(line_size), cfg_(cfg), rec_(rec), counts_(counters) {}
 
 void TdNucaRuntimeHooks::on_task_created(const runtime::Task& task) {
   TDN_REQUIRE(rts_ != nullptr, "set_runtime() must be called first");
@@ -96,8 +97,8 @@ TdNucaRuntimeHooks::Translated TdNucaRuntimeHooks::translate_dep(
     out.tlb_cycles += core.mmu().charge_translation(va);
     va = pt_.page_base(va) + pt_.page_span(va);
   }
-  translate_pages_ += out.pages;
-  translate_cycles_ += out.tlb_cycles;
+  counts_.translate_pages += out.pages;
+  counts_.translate_cycles += out.tlb_cycles;
   return out;
 }
 
@@ -254,7 +255,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
       // block) transition together: writing the block also kills its
       // halo's replicas.
       auto invalidate_replicas = [&](DirEntry& re) {
-        n_transitions_.inc();
+        ++counts_.ro_rw_transitions;
         Translated tr = translate_dep(re.vrange, core);
         tl.charge("tdnuca_invalidate",
                   isa_rrt_cost(cfg_.isa, tr.tlb_cycles,
@@ -326,20 +327,20 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
     // --- directory bookkeeping -------------------------------------------
     switch (p) {
       case Placement::Bypass:
-        n_bypass_.inc();
+        ++counts_.bypass_placements;
         e.ever_bypassed = true;
         e.placement = Placement::Bypass;
         e.map_mask = BankMask::none();
         e.local_owner = cid;
         break;
       case Placement::LocalBank:
-        n_local_.inc();
+        ++counts_.local_placements;
         e.placement = Placement::LocalBank;
         e.map_mask = pd.mask;
         e.local_owner = cid;
         break;
       case Placement::Replicated:
-        n_replicated_.inc();
+        ++counts_.replicated_placements;
         e.placement = Placement::Replicated;
         e.map_mask |= pd.mask;
         break;
@@ -350,7 +351,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
   }
 
   active_[task.id] = std::move(placed);
-  overhead_cycles_ += tl.cycles;
+  counts_.runtime_overhead_cycles += tl.cycles;
   task.hook_cycles += tl.cycles;
   join->add();
   core.busy(tl.cycles, [join] { join->complete(); });
@@ -430,7 +431,7 @@ void TdNucaRuntimeHooks::after_task(runtime::Task& task, core::SimCore& core,
     }
   }
   active_.erase(it);
-  overhead_cycles_ += tl.cycles;
+  counts_.runtime_overhead_cycles += tl.cycles;
   task.hook_cycles += tl.cycles;
   core.busy(tl.cycles, std::move(done));
 }

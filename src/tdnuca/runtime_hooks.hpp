@@ -31,7 +31,6 @@
 #include "nuca/tdnuca_policy.hpp"
 #include "runtime/hooks.hpp"
 #include "runtime/runtime_system.hpp"
-#include "stats/counters.hpp"
 #include "tdnuca/isa.hpp"
 #include "tdnuca/rt_cache_directory.hpp"
 
@@ -48,6 +47,21 @@ enum class Variant : std::uint8_t {
   DryRun,      ///< Sec. V-E: decisions and bookkeeping, no ISA instruction
 };
 
+/// The hooks' counts. Their owner (system::PolicySet) outlives every
+/// program whose hooks count into it, so a serving slot's requests add up.
+struct HookCounters {
+  std::uint64_t bypass_placements = 0;
+  std::uint64_t local_placements = 0;
+  std::uint64_t replicated_placements = 0;
+  std::uint64_t ro_rw_transitions = 0;
+  Cycle runtime_overhead_cycles = 0;
+  /// Pages iterated by every ISA-path translate_range (register/invalidate/
+  /// flush) — huge pages collapse this (paper Fig. 5 / docs/memory.md).
+  std::uint64_t translate_pages = 0;
+  /// Translation cycles (TLB probes + walks) charged on the ISA path.
+  Cycle translate_cycles = 0;
+};
+
 struct HooksConfig {
   /// Decision-algorithm cycles per dependency (RTCacheDirectory lookup +
   /// placement choice) — the paper's "biggest source of overhead".
@@ -61,10 +75,11 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   /// managed. @p rec (optional) receives one trace span per TD-NUCA ISA
   /// instruction (decision, tdnuca_register/invalidate/flush) laid
   /// back-to-back over the cycles the core is charged; it observes only and
-  /// never alters timing.
+  /// never alters timing. Every count goes to @p counters.
   TdNucaRuntimeHooks(nuca::TdNucaPolicy& policy, mem::PageTable& pt,
                      unsigned num_tiles, Variant variant, unsigned line_size,
-                     HooksConfig cfg = {}, obs::Recorder* rec = nullptr);
+                     HookCounters& counters, HooksConfig cfg = {},
+                     obs::Recorder* rec = nullptr);
 
   /// Wire the runtime (needed to resolve DepIds); must be called before the
   /// first task is created.
@@ -96,20 +111,21 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   const RtCacheDirectory& directory() const noexcept { return dir_; }
 
   // --- statistics ------------------------------------------------------
-  std::uint64_t bypass_placements() const noexcept { return n_bypass_.value(); }
-  std::uint64_t local_placements() const noexcept { return n_local_.value(); }
+  std::uint64_t bypass_placements() const noexcept {
+    return counts_.bypass_placements;
+  }
+  std::uint64_t local_placements() const noexcept {
+    return counts_.local_placements;
+  }
   std::uint64_t replicated_placements() const noexcept {
-    return n_replicated_.value();
+    return counts_.replicated_placements;
   }
   std::uint64_t ro_rw_transitions() const noexcept {
-    return n_transitions_.value();
+    return counts_.ro_rw_transitions;
   }
-  Cycle runtime_overhead_cycles() const noexcept { return overhead_cycles_; }
-  /// Pages iterated by every ISA-path translate_range (register/invalidate/
-  /// flush) — huge pages collapse this (paper Fig. 5 / docs/memory.md).
-  std::uint64_t translate_pages() const noexcept { return translate_pages_; }
-  /// Translation cycles (TLB probes + walks) charged on the ISA path.
-  Cycle translate_cycles() const noexcept { return translate_cycles_; }
+  Cycle runtime_overhead_cycles() const noexcept {
+    return counts_.runtime_overhead_cycles;
+  }
 
  private:
   struct Translated {
@@ -165,13 +181,7 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   std::unordered_map<TaskId, std::vector<PlacedDep>> active_;
   std::unordered_map<DepId, DepSync> sync_;
 
-  stats::Counter n_bypass_;
-  stats::Counter n_local_;
-  stats::Counter n_replicated_;
-  stats::Counter n_transitions_;
-  Cycle overhead_cycles_ = 0;
-  std::uint64_t translate_pages_ = 0;
-  Cycle translate_cycles_ = 0;
+  HookCounters& counts_;
 };
 
 }  // namespace tdn::tdnuca

@@ -7,10 +7,9 @@ namespace tdn::vm {
 std::string VmConfig::canonical() const {
   if (!enabled) return "off";
   std::ostringstream os;
-  // Deleted use_1g and l1_1g_entries keep their v8 slots.
-  os << "thp=" << to_string(thp) << ",1g=0,frag=" << fragmentation
+  os << "thp=" << to_string(thp) << ",frag=" << fragmentation
      << ",seed=" << seed << ",l1=" << l1_4k_entries << '.' << l1_2m_entries
-     << ".4@" << l1_latency << ",l2=" << l2_entries << '@' << l2_latency
+     << '@' << l1_latency << ",l2=" << l2_entries << '@' << l2_latency
      << ",psc=" << psc_l4_entries << '.' << psc_l3_entries << '.'
      << psc_l2_entries << '@' << psc_latency
      << ",chg=" << walk_charge_per_level;

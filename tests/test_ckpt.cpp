@@ -468,6 +468,22 @@ TEST(CkptServe, ResumeRejectsForeignOrInconsistentSnapshots) {
     sys.set_checkpoint(ck, kFp);
     EXPECT_THROW(sys.resume_from(torn), ckpt::SnapshotError);
   }
+  // Same fingerprint claim, a machine with other counters: one built with a
+  // fault plan owns fault.* counters the snapshot never recorded.
+  {
+    system::SystemConfig faulty = cfg;
+    faulty.fault.plan = "bank_fail@3:cycle=40k";
+    ServeSystem sys(faulty, mix, opts);
+    sys.build(small_params());
+    sys.set_checkpoint(ck, kFp);
+    try {
+      sys.resume_from(snaps[0]);
+      ADD_FAILURE() << "a snapshot without fault counters resumed with them";
+    } catch (const ckpt::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("counter set"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CkptServe, WatchdogIsArmedAndQuietInServingRuns) {

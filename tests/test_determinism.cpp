@@ -46,50 +46,49 @@ struct GoldenCase {
   Cycle ckpt_every = 0;     ///< serving checkpoint cadence; no directory
 };
 
-// Schema v8 goldens (v8 added the tdn::vm options segment — disabled runs
-// carry the "off" sentinel — and the always-present mem.* per-core TLB /
-// allocator keys plus tdnuca.translate_*, so both the fingerprints and the
-// metric hashes moved; every v7 metric key kept its exact value, verified
-// key-by-key against the seed build). The two mix rows' hashes moved once
-// more, with no bump, when mixes gained the closed-run keys one-program runs
-// export (flush.busy_cycles, mem.coreN.tlb_*, rrt.* and tdnuca.*): 58 keys
-// added to each, no key removed, no value changed.
+// Schema v9 goldens. v9 dropped the fingerprint slots of deleted fields and
+// keys the colocation options only for closed mixes, so every fingerprint
+// moved. Every metrics hash held except the three serving rows', which
+// moved only by keys: serving exports the machine's key set closed runs do
+// (cache.forced_unsafe_evictions, flush.busy_cycles, llc.bankN.*,
+// mem.coreN.tlb_*, rrt.*, tdnuca.*, rnuca.* when adaptive, and appK.llc.*
+// in place of serve.slotK.llc.*), with no shared value changed.
 const GoldenCase kGoldens[] = {
-    {"gauss", system::PolicyKind::SNuca, 0x917e4b660d1975ddull,
+    {"gauss", system::PolicyKind::SNuca, 0x35d13b4a09636933ull,
      0xb4d29d2e391d7bf8ull},
-    {"histo", system::PolicyKind::RNuca, 0xdf544619f4ad4980ull,
+    {"histo", system::PolicyKind::RNuca, 0x3a2b0a26da4be8f0ull,
      0xa32be5730695fe6full},
-    {"jacobi", system::PolicyKind::TdNuca, 0x511cb6ff7d847ddeull,
+    {"jacobi", system::PolicyKind::TdNuca, 0x3c6795a7bb219e00ull,
      0xf2def87b56b8b1b1ull},
-    // The configs MultiProgram.FingerprintGoldenV8 and
-    // ServeHarness.FingerprintGoldenV8 pin, scaled down to keep each run
+    // The configs MultiProgram.FingerprintGoldenV9 and
+    // ServeHarness.FingerprintGoldenV9 pin, scaled down to keep each run
     // under a second: the colocated and serving front-ends get the same
     // metrics oracle as the tiled one.
-    {"gauss+histo", system::PolicyKind::TdNuca, 0x28405c3a02472d68ull,
+    {"gauss+histo", system::PolicyKind::TdNuca, 0xb91709f2106805d8ull,
      0xd887461815ac028cull, 0.125},
-    {"gauss+histo", system::PolicyKind::TdNuca, 0x9c738193740e53a2ull,
-     0xae1e0c5794264718ull, 0.02, "poisson:gap=40k"},
-    {"gauss+histo", system::PolicyKind::TdNuca, 0xe52cdb61959e984bull,
-     0x5bc672a6b2662334ull, 0.02, "poisson:gap=40k", /*adaptive=*/true},
+    {"gauss+histo", system::PolicyKind::TdNuca, 0x66dc09889e7427e6ull,
+     0x3447a58dcfa1c824ull, 0.02, "poisson:gap=40k"},
+    {"gauss+histo", system::PolicyKind::TdNuca, 0xed8fa469bd7aa827ull,
+     0xc35de763c251af9dull, 0.02, "poisson:gap=40k", /*adaptive=*/true},
     // One row per machine feature the rows above leave off: page walks
     // through the hierarchy in a tiled run and in a mix, a bank failure plus
-    // an RRT soft error, and serving with checkpoint folds (the cadence runs
-    // the fold and cold reset; with no directory no snapshot is written).
-    {"randtouch", system::PolicyKind::TdNuca, 0x3793f6fdbd564590ull,
+    // an RRT soft error, and checkpointed serving (the cadence runs the
+    // drain and cold reset; with no directory no snapshot is written).
+    {"randtouch", system::PolicyKind::TdNuca, 0x08d88d923be62555ull,
      0xafb28c4f517c07c2ull, 0.25, "", false, /*vm=*/true},
-    {"kmeans", system::PolicyKind::TdNuca, 0x8263cf2758de963eull,
+    {"kmeans", system::PolicyKind::TdNuca, 0x134dd571d9d553ccull,
      0x559fbbbd7cabbc6bull, 0.25, "", false, false,
      "bank_fail@3:cycle=5k,rrt_flip@core0:cycle=20k"},
-    {"randtouch+kmeans", system::PolicyKind::TdNuca, 0x0073f74aaa55334full,
+    {"randtouch+kmeans", system::PolicyKind::TdNuca, 0x0a62fa3025816f6cull,
      0x6f380ec6716e697aull, 0.125, "", false, /*vm=*/true},
-    {"gauss+histo", system::PolicyKind::TdNuca, 0xcb0111bf99949892ull,
-     0x6c8bebd45c875451ull, 0.02, "poisson:gap=40k", false, false, "",
+    {"gauss+histo", system::PolicyKind::TdNuca, 0xcba768a5f12e75f3ull,
+     0xa7f9dca6ed79ab7dull, 0.02, "poisson:gap=40k", false, false, "",
      /*ckpt_every=*/200'000},
     // The two TD-NUCA study variants: the dry run (Sec. V-E: bookkeeping
     // only, the hierarchy places as S-NUCA) and bypass-only (Fig. 15).
-    {"gauss", system::PolicyKind::TdNucaDryRun, 0x755de77a12fce369ull,
+    {"gauss", system::PolicyKind::TdNucaDryRun, 0x2b6a6270fb28cfbfull,
      0xe693f2085a1a58bbull},
-    {"gauss", system::PolicyKind::TdNucaBypassOnly, 0xc78aa31e2790570aull,
+    {"gauss", system::PolicyKind::TdNucaBypassOnly, 0x502ff8d1d1165ae2ull,
      0xd26ee8c53e44ca75ull},
 };
 
@@ -113,7 +112,7 @@ harness::RunConfig golden_config(const GoldenCase& c) {
   return cfg;
 }
 
-TEST(Determinism, FingerprintGoldensV8) {
+TEST(Determinism, FingerprintGoldensV9) {
   for (const GoldenCase& c : kGoldens) {
     const harness::RunConfig cfg = golden_config(c);
     EXPECT_EQ(cfg.fingerprint(), c.fingerprint)
@@ -122,7 +121,7 @@ TEST(Determinism, FingerprintGoldensV8) {
   }
 }
 
-TEST(Determinism, MetricsGoldensV8) {
+TEST(Determinism, MetricsGoldensV9) {
   for (const GoldenCase& c : kGoldens) {
     const harness::RunConfig cfg = golden_config(c);
     const harness::RunResult r =
@@ -138,7 +137,7 @@ TEST(Determinism, MetricsGoldensV8) {
 // (which enables attribution, epoch-free), every metric hashes to the same
 // committed golden as the plain run. This is the obs-on/obs-off identity
 // the v2 observability layer promises.
-TEST(Determinism, MetricsGoldensV8WithAttributionEnabled) {
+TEST(Determinism, MetricsGoldensV9WithAttributionEnabled) {
   const GoldenCase& c = kGoldens[0];  // gauss / S-NUCA
   harness::RunConfig cfg = golden_config(c);
   cfg.obs.latency_report_path =

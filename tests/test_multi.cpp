@@ -250,18 +250,29 @@ TEST(MultiProgram, FingerprintSeparatesColocationOptions) {
   other.workload = "histo+gauss";
   EXPECT_NE(base.fingerprint(), single.fingerprint());
   EXPECT_NE(base.fingerprint(), other.fingerprint());
+
+  // Only a closed mix keys the options: a single app and a serving run over
+  // a '+'-joined tenant list ignore them and fingerprint the same either way.
+  harness::RunConfig single_shared = single;
+  single_shared.multi.mode = PartitionMode::Shared;
+  EXPECT_EQ(single.fingerprint(), single_shared.fingerprint());
+  harness::RunConfig served = base;
+  served.serve.arrival = "poisson:gap=40k";
+  harness::RunConfig served_shared = served;
+  served_shared.multi.mode = PartitionMode::Shared;
+  EXPECT_EQ(served.fingerprint(), served_shared.fingerprint());
 }
 
-TEST(MultiProgram, FingerprintGoldenV8) {
-  // Golden hash of the default 2-app config under schema v8 (v8 added the
-  // tdn::vm options segment; a vm-disabled run hashes the "off" sentinel in
-  // the vm position). A change here means cached results are (correctly)
-  // invalidated — if that was not the intent, the fingerprint composition
-  // regressed. Regenerate by printing cfg.fingerprint() for this config.
+TEST(MultiProgram, FingerprintGoldenV9) {
+  // Golden hash of the default 2-app config under schema v9 (v9 dropped the
+  // slots of deleted fields, so the colocation segment is "part"). A change
+  // here means cached results are (correctly) invalidated — if that was not
+  // the intent, the fingerprint composition regressed. Regenerate by
+  // printing cfg.fingerprint() for this config.
   harness::RunConfig cfg;
   cfg.workload = "gauss+histo";
   cfg.policy = system::PolicyKind::TdNuca;
-  EXPECT_EQ(cfg.fingerprint(), 0x50fbf5288d275b07ull)
+  EXPECT_EQ(cfg.fingerprint(), 0xaddc442ea82d1eb7ull)
       << std::hex << cfg.fingerprint();
 }
 

@@ -337,6 +337,62 @@ TEST(ServeSystemTest, AdaptiveSwitchingRunsAndCounts) {
             static_cast<double>(sys.policy_switches()));
 }
 
+// Serving exports the machine's one key set, the closed runs' per-bank,
+// per-core, flush, RRT, hook and fault keys included, and its per-slot LLC
+// view is the app view's appK.llc.*.
+TEST(ServeSystemTest, ExportsTheMachineKeySet) {
+  for (const std::string plan : {"", "bank_fail@3:cycle=40k"}) {
+    system::SystemConfig cfg;
+    cfg.policy = system::PolicyKind::TdNuca;
+    cfg.fault.plan = plan;
+    const ServeOptions opts = light_load();
+    ServeSystem sys(cfg, multi::MixSpec::parse("gauss+histo"), opts);
+    sys.build(small_params());
+    sys.run();
+    ASSERT_TRUE(sys.completed());
+    const auto reg = sys.collect_stats();
+    const unsigned n = cfg.num_cores();
+    double bank_requests = 0.0;
+    for (unsigned b = 0; b < n; ++b) {
+      const std::string p = "llc.bank" + std::to_string(b);
+      for (const char* k : {".requests", ".hits", ".misses", ".writebacks"})
+        EXPECT_TRUE(reg.has(p + k)) << p + k;
+      bank_requests += reg.get(p + ".requests");
+    }
+    for (unsigned c = 0; c < n; ++c) {
+      const std::string p = "mem.core" + std::to_string(c);
+      for (const char* k : {".tlb_hits", ".tlb_misses", ".tlb_shootdowns"})
+        EXPECT_TRUE(reg.has(p + k)) << p + k;
+    }
+    for (const char* k :
+         {"flush.busy_cycles", "rrt.lookups", "rrt.max_occupancy",
+          "rrt.mean_occupancy", "tdnuca.bypass_placements",
+          "tdnuca.local_placements", "tdnuca.replicated_placements",
+          "tdnuca.runtime_overhead_cycles", "tdnuca.translate_pages",
+          "tdnuca.translate_cycles"})
+      EXPECT_TRUE(reg.has(k)) << k;
+    EXPECT_GT(reg.get("rrt.lookups"), 0.0);
+    EXPECT_GT(reg.get("tdnuca.runtime_overhead_cycles"), 0.0);
+    double app_requests = 0.0;
+    for (unsigned s = 0; s < opts.slots; ++s) {
+      const std::string p = "app" + std::to_string(s) + ".llc";
+      for (const char* k : {".requests", ".hits", ".misses", ".writebacks",
+                            ".bypass_reads", ".hit_ratio"})
+        EXPECT_TRUE(reg.has(p + k)) << p + k;
+      app_requests += reg.get(p + ".requests");
+    }
+    EXPECT_GT(reg.get("llc.requests"), 0.0);
+    EXPECT_EQ(app_requests, reg.get("llc.requests"));
+    EXPECT_EQ(bank_requests, reg.get("llc.requests"));
+    EXPECT_EQ(reg.has("fault.banks_failed"), !plan.empty()) << plan;
+    if (!plan.empty()) {
+      EXPECT_EQ(reg.get("fault.banks_failed"), 1.0);
+      EXPECT_EQ(reg.get("fault.healthy_banks"), n - 1.0);
+      EXPECT_TRUE(reg.has("fault.bounced_requests"));
+    }
+  }
+}
+
 // --- harness integration: fingerprints, cache keys, sweeps ----------------
 
 TEST(ServeHarness, FingerprintSeparatesServingOptions) {
@@ -363,15 +419,15 @@ TEST(ServeHarness, FingerprintSeparatesServingOptions) {
   EXPECT_NE(base.fingerprint(), adaptive.fingerprint());
 }
 
-TEST(ServeHarness, FingerprintGoldenV8) {
-  // Golden hash of the default serving config under schema v8 — the serving
-  // twin of MultiProgram.FingerprintGoldenV8. Regenerate by printing
+TEST(ServeHarness, FingerprintGoldenV9) {
+  // Golden hash of the default serving config under schema v9 — the serving
+  // twin of MultiProgram.FingerprintGoldenV9. Regenerate by printing
   // cfg.fingerprint() for this exact config.
   harness::RunConfig cfg;
   cfg.workload = "gauss+histo";
   cfg.policy = system::PolicyKind::TdNuca;
   cfg.serve.arrival = "poisson:gap=40k";
-  EXPECT_EQ(cfg.fingerprint(), 0x93285b9d3afc1e37ull)
+  EXPECT_EQ(cfg.fingerprint(), 0x23eca7a4c3ed9703ull)
       << std::hex << cfg.fingerprint();
 }
 
