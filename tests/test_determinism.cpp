@@ -44,6 +44,7 @@ struct GoldenCase {
   bool vm = false;          ///< tdn::vm on, 4K pages only (THP never)
   const char* faults = "";  ///< fault plan (docs/faults.md DSL)
   Cycle ckpt_every = 0;     ///< serving checkpoint cadence; no directory
+  const char* weights = "";  ///< serving tenant weights; "" = equal
 };
 
 // Schema v9 goldens. v9 dropped the fingerprint slots of deleted fields and
@@ -70,6 +71,13 @@ const GoldenCase kGoldens[] = {
      0x3447a58dcfa1c824ull, 0.02, "poisson:gap=40k"},
     {"gauss+histo", system::PolicyKind::TdNuca, 0xed8fa469bd7aa827ull,
      0xc35de763c251af9dull, 0.02, "poisson:gap=40k", /*adaptive=*/true},
+    // The adaptive row above switches policy only between dispatches and
+    // never serves a request under R-NUCA. Skewed weights make the switcher
+    // flip three times with requests on both sides, so slots dispatch under
+    // R-NUCA (census 15 private, 4 shared-RO, 2,833 shared pages).
+    {"gauss+histo", system::PolicyKind::TdNuca, 0x65fdff8c7aa46a76ull,
+     0xecb5737f7db22d95ull, 0.02, "poisson:gap=40k", /*adaptive=*/true,
+     false, "", 0, /*weights=*/"1:9"},
     // One row per machine feature the rows above leave off: page walks
     // through the hierarchy in a tiled run and in a mix, a bank failure plus
     // an RRT soft error, and checkpointed serving (the cadence runs the
@@ -98,6 +106,7 @@ harness::RunConfig golden_config(const GoldenCase& c) {
   cfg.policy = c.policy;
   cfg.serve.arrival = c.arrival;
   cfg.serve.adaptive = c.adaptive;
+  cfg.serve.weights = c.weights;
   if (c.vm) {
     cfg.sys.vm.enabled = true;
     cfg.sys.vm.thp = vm::ThpPolicy::Never;
