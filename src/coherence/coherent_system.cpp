@@ -13,9 +13,10 @@ CoherentSystem::CoherentSystem(sim::EventQueue& eq, noc::Network& net,
                                const noc::Mesh& mesh, mem::MemControllers& mcs,
                                nuca::MappingPolicy& policy, HierarchyConfig cfg,
                                unsigned num_cores, obs::Recorder* rec)
-    : eq_(eq), net_(net), mesh_(mesh), mcs_(mcs), policy_(policy), cfg_(cfg),
+    : eq_(eq), net_(net), mesh_(mesh), mcs_(mcs), cfg_(cfg),
       num_cores_(num_cores), rec_(rec),
-      attr_(rec != nullptr ? rec->attribution() : nullptr) {
+      attr_(rec != nullptr ? rec->attribution() : nullptr),
+      core_policy_(num_cores, &policy) {
   TDN_REQUIRE(num_cores_ > 0 && num_cores_ <= mesh.tiles(),
               "core count must fit the mesh");
   // Skip the bank-interleave bits when indexing sets inside a bank; see
@@ -28,7 +29,7 @@ CoherentSystem::CoherentSystem(sim::EventQueue& eq, noc::Network& net,
     l1s_.emplace_back(cfg_);
     banks_.emplace_back(cfg_);
   }
-  policy_.set_ops(this);
+  policy.set_ops(this);
 }
 
 std::uint64_t CoherentSystem::llc_resident_lines() const {
@@ -48,11 +49,16 @@ std::uint64_t CoherentSystem::forced_unsafe_evictions() const {
 // Multiprogram view (tdn::multi)
 // --------------------------------------------------------------------------
 
-void CoherentSystem::set_app_view(const std::vector<CoreMask>& partitions) {
+void CoherentSystem::set_app_view(
+    const std::vector<CoreMask>& partitions,
+    const std::vector<nuca::MappingPolicy*>& policies) {
   TDN_REQUIRE(!partitions.empty(), "app view needs at least one app");
   TDN_REQUIRE(partitions.size() < kNoApp, "too many apps for the app tag");
+  TDN_REQUIRE(policies.size() == partitions.size(),
+              "app view needs one policy per partition");
   std::vector<std::uint8_t> core_app(num_cores_, kNoApp);
   for (std::size_t a = 0; a < partitions.size(); ++a) {
+    TDN_REQUIRE(policies[a] != nullptr, "null app policy");
     partitions[a].for_each([&](CoreId c) {
       TDN_REQUIRE(c < num_cores_ && core_app[c] == kNoApp,
                   "app partitions must hold each core at most once");
@@ -63,6 +69,14 @@ void CoherentSystem::set_app_view(const std::vector<CoreMask>& partitions) {
     TDN_REQUIRE(a != kNoApp, "app partitions must cover every core");
   core_app_ = std::move(core_app);
   app_counters_.assign(partitions.size(), AppCounters{});
+  for (unsigned c = 0; c < num_cores_; ++c)
+    core_policy_[c] = policies[core_app_[c]];
+}
+
+void CoherentSystem::set_app_policy(unsigned app, nuca::MappingPolicy& policy) {
+  TDN_REQUIRE(app < num_apps(), "app index out of range");
+  for (unsigned c = 0; c < num_cores_; ++c)
+    if (core_app_[c] == app) core_policy_[c] = &policy;
 }
 
 std::uint64_t CoherentSystem::cross_app_conflicts() const {
@@ -105,7 +119,8 @@ void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
   // OS page-grain bookkeeping, and a kernel address would poison R-NUCA's
   // per-page state machine and TD-NUCA's RRT lookups. The post-fill replay
   // is the same reference, so the hook has already seen it.
-  if (!replay && vaddr < kKernelBase) policy_.on_access(core, vaddr, kind);
+  if (!replay && vaddr < kKernelBase)
+    core_policy_[core]->on_access(core, vaddr, kind);
   const Addr line = line_of(paddr);
   L1& l1 = l1s_[core];
   auto* ln = l1.array.find(line);
@@ -190,9 +205,9 @@ void CoherentSystem::register_miss_or_retry(
 
 void CoherentSystem::launch_transaction(CoreId core, Addr vaddr, Addr line,
                                         AccessKind kind, Cycle issued_at) {
-  const nuca::MapDecision d = vaddr >= kKernelBase
-                                  ? kernel_map(line)
-                                  : policy_.map(core, vaddr, line, kind);
+  const nuca::MapDecision d =
+      vaddr >= kKernelBase ? kernel_map(line)
+                           : core_policy_[core]->map(core, vaddr, line, kind);
   const Cycle send_at = eq_.now() + cfg_.l1_latency + d.lookup_latency;
   if (d.kind == nuca::MapDecision::Kind::Bypass) {
     if (attr_ != nullptr)

@@ -18,7 +18,9 @@
 //
 // The NUCA mapping policy is consulted on every L1 miss and writeback to pick
 // the destination bank (or bypass), exactly where the paper places the RRT
-// lookup.
+// lookup. Each core maps through its own entry of a per-core policy table:
+// every core starts on the constructor's policy, and an app view gives the
+// cores of each partition that partition's policy.
 #pragma once
 
 #include <functional>
@@ -165,12 +167,18 @@ class CoherentSystem final : public nuca::CacheOps {
   // --- multiprogram view (tdn::multi) ----------------------------------
   /// Attribute each core to the colocated app (or serving slot) whose
   /// partition holds it: app a owns the cores of @p partitions[a], and the
-  /// partitions must cover every core exactly once. Attaching a view
-  /// enables per-app request/hit/miss/writeback counters, the LlcMeta app
-  /// tag and per-bank cross-app conflict counting. With no view attached
-  /// (the default) every path is bit-identical to the single-program
-  /// system.
-  void set_app_view(const std::vector<CoreMask>& partitions);
+  /// partitions must cover every core exactly once. App a's cores map
+  /// through @p policies[a] (one per partition, not owned). Attaching a
+  /// view also enables per-app request/hit/miss/writeback counters, the
+  /// LlcMeta app tag and per-bank cross-app conflict counting. With no view
+  /// attached (the default) every path is bit-identical to the
+  /// single-program system.
+  void set_app_view(const std::vector<CoreMask>& partitions,
+                    const std::vector<nuca::MappingPolicy*>& policies);
+  /// From now on the cores of @p app map through @p policy (tdn::serve's
+  /// adaptive switch, at dispatch). Lines already cached keep the home
+  /// bank their L1 remembers.
+  void set_app_policy(unsigned app, nuca::MappingPolicy& policy);
 
   struct AppCounters {
     std::uint64_t llc_requests = 0;
@@ -334,7 +342,6 @@ class CoherentSystem final : public nuca::CacheOps {
   noc::Network& net_;
   const noc::Mesh& mesh_;
   mem::MemControllers& mcs_;
-  nuca::MappingPolicy& policy_;
   HierarchyConfig cfg_;
   unsigned num_cores_;
   obs::Recorder* rec_;
@@ -353,6 +360,7 @@ class CoherentSystem final : public nuca::CacheOps {
   std::vector<std::unique_ptr<Waiter[]>> waiter_chunks_;  ///< Waiter pool
   Waiter* free_waiters_ = nullptr;
   Stats stats_;
+  std::vector<nuca::MappingPolicy*> core_policy_;  ///< core id -> policy
   std::vector<std::uint8_t> core_app_;  ///< core id -> app; empty = no view
   std::vector<AppCounters> app_counters_;
 };

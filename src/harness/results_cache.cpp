@@ -29,19 +29,20 @@ std::optional<std::map<std::string, double>> ResultsCache::load(
   std::map<std::string, double> m;
   std::string line;
   while (std::getline(in, line)) {
-    // Tolerate malformed lines (corrupt entry from a pre-atomic-rename
-    // writer, stray edit, disk hiccup): skip them instead of trusting or
-    // propagating them; the metric simply recomputes on its next miss.
+    // One malformed line (corrupt entry from a pre-atomic-rename writer,
+    // stray edit, disk hiccup) makes the whole entry a miss: a partial hit
+    // would lack the metric forever, while a miss re-simulates and store()
+    // overwrites the entry.
     const auto comma = line.rfind(',');
-    if (comma == std::string::npos || comma == 0) continue;
+    if (comma == std::string::npos || comma == 0) return std::nullopt;
     try {
       std::size_t consumed = 0;
       const std::string value = line.substr(comma + 1);
       const double v = std::stod(value, &consumed);
-      if (consumed != value.size()) continue;  // trailing junk: torn write
+      if (consumed != value.size()) return std::nullopt;  // torn write
       m[line.substr(0, comma)] = v;
     } catch (...) {
-      continue;
+      return std::nullopt;
     }
   }
   if (m.empty()) return std::nullopt;

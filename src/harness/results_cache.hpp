@@ -6,8 +6,9 @@
 // Safe under concurrent readers and writers (multiple SweepRunner pool
 // threads, multiple bench processes): store() publishes via temp file +
 // atomic rename, so load() sees complete files only; load() additionally
-// skips malformed lines rather than trusting them. On-disk format and
-// operational details: docs/harness.md.
+// treats an entry with any malformed line as a miss, so the run
+// re-simulates and store() overwrites it. On-disk format and operational
+// details: docs/harness.md.
 #pragma once
 
 #include <map>

@@ -12,7 +12,6 @@
 #include "common/require.hpp"
 #include "common/write_file.hpp"
 #include "harness/results_cache.hpp"
-#include "harness/sweep_runner.hpp"
 #include "obs/critical_path.hpp"
 #include "serve/serve_system.hpp"
 
@@ -279,25 +278,6 @@ RunResult run_experiment(const RunConfig& cfg, bool use_cache,
 
   if (use_cache) ResultsCache::store(key, result.metrics);
   return result;
-}
-
-std::vector<RunResult> run_suite(
-    const std::vector<system::PolicyKind>& policies,
-    const workloads::WorkloadParams& params, bool use_cache, unsigned jobs) {
-  std::vector<RunConfig> cfgs;
-  for (const std::string& wl : workloads::paper_workload_names()) {
-    for (const system::PolicyKind p : policies) {
-      RunConfig cfg;
-      cfg.workload = wl;
-      cfg.policy = p;
-      cfg.params = params;
-      cfgs.push_back(std::move(cfg));
-    }
-  }
-  SweepOptions opts;
-  opts.jobs = jobs;
-  opts.use_cache = use_cache;
-  return SweepRunner(opts).run(cfgs);
 }
 
 const RunResult& find_result(const std::vector<RunResult>& results,

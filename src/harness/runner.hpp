@@ -106,13 +106,6 @@ struct RunResult {
 RunResult run_experiment(const RunConfig& cfg, bool use_cache = true,
                          ObsArtifacts* artifacts = nullptr);
 
-/// Run the full 8-benchmark suite for the given policies, `jobs` at a time
-/// on a SweepRunner pool (0 = hardware_concurrency, 1 = serial). Results are
-/// in (workload, policy) input order and bit-identical for every jobs value.
-std::vector<RunResult> run_suite(const std::vector<system::PolicyKind>& policies,
-                                 const workloads::WorkloadParams& params = {},
-                                 bool use_cache = true, unsigned jobs = 1);
-
 /// Pull the result for (workload, policy) out of a suite result set.
 const RunResult& find_result(const std::vector<RunResult>& results,
                              const std::string& workload,

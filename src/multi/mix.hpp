@@ -19,12 +19,8 @@ namespace tdn::multi {
 
 /// Virtual-address stride between colocated apps: app k's VirtualSpace
 /// starts at k * kAppStride + mem::kHeapBase, so app streams can never
-/// alias and the owning app of any address is just its top bits.
+/// alias.
 inline constexpr Addr kAppStride = Addr{1} << 40;  // 1 TiB
-
-inline unsigned app_of_vaddr(Addr vaddr) noexcept {
-  return static_cast<unsigned>(vaddr / kAppStride);
-}
 
 /// Split a mesh_w x mesh_h mesh into @p n row-granular tile partitions:
 /// partition k owns rows [k*h/n, (k+1)*h/n). Rows keep each partition

@@ -80,15 +80,15 @@ class MappingPolicy {
   /// default — keeps every decision on the original, fault-free path.
   void set_health(const fault::HealthState* health) { health_ = health; }
 
-  /// Restrict this policy instance to a machine partition (tdn::multi
-  /// colocation, tdn::serve worker slots): @p banks are the LLC banks it may
-  /// map to, @p cores the cores whose private caches its relocation flushes
-  /// may target. Every core's own bank must be in @p banks, so a core's
-  /// local bank and quadrant always intersect the partition. Empty masks —
-  /// the default — mean "the whole machine" and keep every decision
-  /// bit-identical to an unpartitioned policy.
+  /// The machine partition this policy instance owns: @p banks are the LLC
+  /// banks it may map to, @p cores the cores whose private caches its
+  /// relocation flushes may target. S-, R- and TD-NUCA start with the whole
+  /// machine; tdn::multi colocation and tdn::serve worker slots narrow it.
+  /// Every core's own bank must be in @p banks, so a core's local bank and
+  /// quadrant always intersect the partition.
   void set_partition(BankMask banks, CoreMask cores) {
-    TDN_REQUIRE(banks.empty() || (cores & banks) == cores,
+    TDN_REQUIRE(!banks.empty(), "a policy partition needs at least one bank");
+    TDN_REQUIRE((cores & banks) == cores,
                 "a policy partition's cores must be a subset of its banks");
     partition_ = banks;
     partition_cores_ = cores;
@@ -99,27 +99,24 @@ class MappingPolicy {
   const CoreMask& core_partition() const noexcept { return partition_cores_; }
 
  protected:
-  /// Static-interleave fallback home for @p paddr: over the partition's
-  /// banks when one is set, else over all @p num_banks (== snuca_bank).
-  BankId interleave_bank(Addr paddr, unsigned num_banks,
-                         unsigned line_size = 64) const {
-    if (part_banks_.empty())
-      return static_cast<BankId>((paddr / line_size) % num_banks);
+  /// Static-interleave fallback home for @p paddr over the partition's
+  /// banks (== snuca_bank for the whole machine).
+  BankId interleave_bank(Addr paddr, unsigned line_size = 64) const {
     return part_banks_[(paddr / line_size) % part_banks_.size()];
   }
 
   /// Degraded-mode guard for a bank choice: identity while the bank is
   /// healthy (or no HealthState is attached); S-NUCA re-interleaving over
-  /// the healthy set once it has failed. Under a partition the re-interleave
-  /// stays inside the partition's surviving banks, so one app's dead bank
-  /// never spills its traffic into a co-runner's banks; only a fully-dead
-  /// partition overflows to the global healthy set.
+  /// the partition's surviving banks once it has failed, so one app's dead
+  /// bank never spills its traffic into a co-runner's banks. Over the whole
+  /// machine this is HealthState::remap_bank. Only a fully-dead partition
+  /// overflows to the global healthy set.
   BankId degrade(BankId bank, Addr paddr) const {
     if (health_ == nullptr || health_->bank_ok(bank)) return bank;
-    if (!partition_.empty()) {
-      const BankMask ok = partition_ & health_->healthy_banks();
-      if (!ok.empty())
-        return ok.nth_bit(static_cast<int>((paddr / 64) % ok.count()));
+    const BankMask ok = partition_ & health_->healthy_banks();
+    if (!ok.empty()) {
+      const Addr line = paddr / health_->line_size();
+      return ok.nth_bit(static_cast<int>(line % ok.count()));
     }
     return health_->remap_bank(paddr);
   }

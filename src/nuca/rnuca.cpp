@@ -4,7 +4,9 @@ namespace tdn::nuca {
 
 RNucaPolicy::RNucaPolicy(const noc::Mesh& mesh, unsigned num_banks,
                          mem::PageTable& pt)
-    : num_banks_(num_banks), pt_(pt), clusters_(mesh) {}
+    : pt_(pt), clusters_(mesh) {
+  set_partition(BankMask::first_n(num_banks), CoreMask::first_n(num_banks));
+}
 
 void RNucaPolicy::flush_page(Addr page_base, CoreMask cores, BankMask banks) {
   if (ops_ == nullptr) return;
@@ -52,13 +54,8 @@ void RNucaPolicy::on_access(CoreId core, Addr vaddr, AccessKind kind) {
       reclassifications_.inc();
       ps.cls = PageClass::Shared;
       ps.written = true;
-      // Replicas can only live on this policy's cores/banks: restrict the
-      // all-caches flush to the partition when one is set.
-      flush_page(vpage,
-                 core_partition().empty() ? CoreMask::first_n(num_banks_)
-                                          : core_partition(),
-                 bank_partition().empty() ? BankMask::first_n(num_banks_)
-                                          : bank_partition());
+      // Replicas can only live on this policy's cores and banks.
+      flush_page(vpage, core_partition(), bank_partition());
       for (auto* mmu : mmus_)
         if (mmu != nullptr) mmu->invalidate_page(vaddr);
       return;
@@ -74,15 +71,11 @@ MapDecision RNucaPolicy::map(CoreId core, Addr vaddr, Addr paddr,
   // on_access always runs first on the demand path, but writebacks can
   // outlive the map state; fall back to interleaving for unknown pages.
   if (it == pages_.end())
-    return MapDecision::to_bank(
-        degrade(interleave_bank(paddr, num_banks_), paddr));
+    return MapDecision::to_bank(degrade(interleave_bank(paddr), paddr));
   switch (it->second.cls) {
     case PageClass::Private:
       return MapDecision::to_bank(degrade(it->second.owner, paddr));
     case PageClass::SharedRO: {
-      if (bank_partition().empty())
-        return MapDecision::to_bank(degrade(
-            clusters_.bank_for(clusters_.cluster_of(core), paddr), paddr));
       // Rotational interleave over the quadrant's in-partition banks, which
       // hold at least the core's own (set_partition keeps cores inside the
       // banks).
@@ -93,11 +86,9 @@ MapDecision RNucaPolicy::map(CoreId core, Addr vaddr, Addr paddr,
           degrade(tdnuca::ClusterMap::bank_for_mask(m, paddr), paddr));
     }
     case PageClass::Shared:
-      return MapDecision::to_bank(
-          degrade(interleave_bank(paddr, num_banks_), paddr));
+      return MapDecision::to_bank(degrade(interleave_bank(paddr), paddr));
   }
-  return MapDecision::to_bank(
-      degrade(interleave_bank(paddr, num_banks_), paddr));
+  return MapDecision::to_bank(degrade(interleave_bank(paddr), paddr));
 }
 
 RNucaPolicy::Census RNucaPolicy::census() const {

@@ -15,7 +15,8 @@
 //
 // Placement:
 //   * Private   -> the owner's local LLC bank,
-//   * Shared    -> standard address interleaving across all banks,
+//   * Shared    -> standard address interleaving across the policy's
+//                  partition (every bank unless a front-end narrows it),
 //   * SharedRO  -> degree-4 rotational interleaving. With rotational ids
 //     rid(x,y) = (x mod 2) + 2*(y mod 2), the tile with a given rid inside
 //     the requester's aligned 2x2 neighbourhood is unique, so degree-4
@@ -90,7 +91,6 @@ class RNucaPolicy final : public MappingPolicy {
   /// and LLC banks (fire-and-forget: the faulting core does not wait for it).
   void flush_page(Addr page_base, CoreMask cores, BankMask banks);
 
-  unsigned num_banks_;
   mem::PageTable& pt_;
   tdnuca::ClusterMap clusters_;
   std::vector<vm::Mmu*> mmus_;

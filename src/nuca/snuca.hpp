@@ -19,18 +19,19 @@ inline BankId snuca_bank(Addr paddr, unsigned num_banks,
 class SNucaPolicy final : public MappingPolicy {
  public:
   explicit SNucaPolicy(unsigned num_banks, unsigned line_size = 64)
-      : num_banks_(num_banks), line_size_(line_size) {}
+      : line_size_(line_size) {
+    set_partition(BankMask::first_n(num_banks), CoreMask::first_n(num_banks));
+  }
 
   const char* name() const override { return "S-NUCA"; }
 
   MapDecision map(CoreId /*core*/, Addr /*vaddr*/, Addr paddr,
                   AccessKind /*kind*/) override {
     return MapDecision::to_bank(
-        degrade(interleave_bank(paddr, num_banks_, line_size_), paddr));
+        degrade(interleave_bank(paddr, line_size_), paddr));
   }
 
  private:
-  unsigned num_banks_;
   unsigned line_size_;
 };
 

@@ -6,10 +6,11 @@ namespace tdn::nuca {
 
 TdNucaPolicy::TdNucaPolicy(const noc::Mesh& mesh, unsigned num_banks,
                            TdNucaConfig cfg)
-    : cfg_(cfg), num_banks_(num_banks), clusters_(mesh) {
+    : cfg_(cfg), clusters_(mesh) {
   rrts_.reserve(num_banks);
   for (unsigned i = 0; i < num_banks; ++i)
     rrts_.emplace_back(cfg_.rrt_entries, cfg_.rrt_latency);
+  set_partition(BankMask::first_n(num_banks), CoreMask::first_n(num_banks));
 }
 
 MapDecision TdNucaPolicy::map(CoreId core, Addr /*vaddr*/, Addr paddr,
@@ -21,7 +22,7 @@ MapDecision TdNucaPolicy::map(CoreId core, Addr /*vaddr*/, Addr paddr,
   if (!entry) {
     rrt_misses_.inc();
     return MapDecision::to_bank(
-        degrade(interleave_bank(paddr, num_banks_), paddr), lat);
+        degrade(interleave_bank(paddr), paddr), lat);
   }
   rrt_hits_.inc();
   BankMask mask = entry->mask;
@@ -32,7 +33,7 @@ MapDecision TdNucaPolicy::map(CoreId core, Addr /*vaddr*/, Addr paddr,
     mask = mask & health_->healthy_banks();
     if (mask.empty())
       return MapDecision::to_bank(
-          degrade(interleave_bank(paddr, num_banks_), paddr), lat);
+          degrade(interleave_bank(paddr), paddr), lat);
   }
   const int bits = mask.count();
   if (bits == 0) return MapDecision::bypass(lat);
@@ -42,8 +43,7 @@ MapDecision TdNucaPolicy::map(CoreId core, Addr /*vaddr*/, Addr paddr,
 }
 
 BankMask TdNucaPolicy::replication_mask(CoreId core) const {
-  const BankMask cl = clusters_.mask_of(clusters_.cluster_of(core));
-  return bank_partition().empty() ? cl : cl & bank_partition();
+  return clusters_.mask_of(clusters_.cluster_of(core)) & bank_partition();
 }
 
 unsigned TdNucaPolicy::max_rrt_occupancy() const {

@@ -46,9 +46,9 @@ class TdNucaPolicy final : public MappingPolicy {
   nuca::CacheOps* ops() const noexcept { return ops_; }
 
   /// Cluster-replication mask for @p core: the core's quadrant, restricted
-  /// to this policy's bank partition when one is set. The core's own bank is
-  /// in both (set_partition keeps cores inside the banks), so it is never
-  /// empty. Local-bank placement needs no helper: it is the core's own bank.
+  /// to this policy's bank partition. The core's own bank is in both
+  /// (set_partition keeps cores inside the banks), so it is never empty.
+  /// Local-bank placement needs no helper: it is the core's own bank.
   BankMask replication_mask(CoreId core) const;
 
   std::uint64_t rrt_hits() const noexcept { return rrt_hits_.value(); }
@@ -68,7 +68,6 @@ class TdNucaPolicy final : public MappingPolicy {
 
  private:
   TdNucaConfig cfg_;
-  unsigned num_banks_;
   tdnuca::ClusterMap clusters_;
   std::vector<tdnuca::Rrt> rrts_;
   stats::Counter rrt_hits_;

@@ -32,24 +32,19 @@ ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
   for (unsigned s = 0; s < opts_.slots; ++s) {
     Slot& slot = slots_[s];
     slot.cores = part[s];
-    slot.banks = part[s];
     // Adaptive slots carry the alternate R-NUCA policy too; dispatch picks.
     slot.policies = &machine_.add_policies(opts_.adaptive);
     slot.policies->for_each([&slot](nuca::MappingPolicy& p) {
-      p.set_partition(slot.banks, slot.cores);
+      p.set_partition(slot.cores, slot.cores);
     });
     slot_policies.push_back(slot.policies->active);
   }
 
-  // Wrap mode: request address-space slice slot + slots*generation folds
-  // back onto its worker slot's active policy. Per-slot RRTs: no RRT
-  // target; in-map health guards suffice.
-  router_ = std::make_unique<multi::AppRouter>(slot_policies, /*wrap=*/true);
-  machine_.build(*router_, nullptr);
-
-  // Per-slot LLC accounting, exported as appK.llc.* (attribution is by
-  // requester core, so slices beyond the slot count never index the view).
-  machine_.caches().set_app_view(part);
+  // Per-slot RRTs: no RRT target; in-map health guards suffice. The app
+  // view maps each slot's cores through the slot's policy and keeps the
+  // per-slot LLC accounting, exported as appK.llc.*.
+  machine_.build(nullptr);
+  machine_.caches().set_app_view(part, slot_policies);
 
   if (rec_ != nullptr) register_observability();
 }
@@ -237,7 +232,7 @@ void ServeSystem::dispatch(unsigned s, unsigned rid) {
     policies.active =
         use_tdnuca_ ? static_cast<nuca::MappingPolicy*>(policies.tdnuca.get())
                     : policies.rnuca.get();
-  router_->set_policy(s, policies.active);
+  machine_.caches().set_app_policy(s, *policies.active);
 
   // Distinct jitter stream per request id: back-to-back requests on a slot
   // must not mirror each other's dispatch noise.

@@ -4,10 +4,11 @@
 // (docs/serving.md): instead of N fixed co-resident applications, task-graph
 // *requests* arrive over simulated time (serve::ArrivalSpec), pass an
 // admission controller with a bounded pending queue, and execute
-// one-at-a-time on row-granular worker slots of one system::Machine. Each request gets a fresh program (runtime,
-// scheduler, hooks) and a kAppStride-aligned address-space slice (slice
-// slot + slots * generation; the wrap-mode AppRouter folds slices back onto
-// slots), so consecutive requests on a slot can never alias in memory and a
+// one-at-a-time on row-granular worker slots of one system::Machine. Each
+// slot's cores map through the slot's policy (the hierarchy's app view).
+// Each request gets a fresh program (runtime, scheduler, hooks) and a
+// kAppStride-aligned address-space slice (slice slot + slots * generation),
+// so consecutive requests on a slot can never alias in memory and a
 // mid-stream policy switch never leaves two policies disagreeing about a
 // live line.
 //
@@ -48,7 +49,6 @@
 
 #include "ckpt/snapshot.hpp"
 #include "mem/address_space.hpp"
-#include "multi/app_router.hpp"
 #include "multi/mix.hpp"
 #include "obs/latency_histogram.hpp"
 #include "serve/arrival.hpp"
@@ -159,7 +159,6 @@ class ServeSystem {
 
   struct Slot {
     CoreMask cores;
-    BankMask banks;
     /// Owned by the machine. Adaptive mode holds both tdnuca and rnuca;
     /// otherwise the one cfg.policy names.
     system::PolicySet* policies = nullptr;
@@ -204,9 +203,6 @@ class ServeSystem {
   ServeOptions opts_;
   obs::Recorder* rec_ = nullptr;
 
-  // Declared before machine_, so the router outlives the hierarchy that
-  // refers to it.
-  std::unique_ptr<multi::AppRouter> router_;
   system::Machine machine_;
   sim::EventQueue& eq_ = machine_.events();
   std::vector<Slot> slots_;

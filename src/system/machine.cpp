@@ -145,11 +145,13 @@ PolicySet& Machine::add_policies(bool alternate_rnuca) {
   return set;
 }
 
-void Machine::build(nuca::MappingPolicy& top, nuca::TdNucaPolicy* rrt) {
+void Machine::build(nuca::TdNucaPolicy* rrt) {
   TDN_REQUIRE(!caches_, "machine already built");
+  TDN_REQUIRE(!policies_.empty(), "add a policy set before building");
   const unsigned n = cfg_.num_cores();
   caches_ = std::make_unique<coherence::CoherentSystem>(
-      eq_, *net_, mesh_, *mcs_, top, cfg_.hierarchy, n, rec_);
+      eq_, *net_, mesh_, *mcs_, *policies_[0]->active, cfg_.hierarchy, n,
+      rec_);
   cores_.reserve(n);
   std::vector<vm::Mmu*> mmus;
   for (unsigned i = 0; i < n; ++i) {
@@ -157,9 +159,8 @@ void Machine::build(nuca::MappingPolicy& top, nuca::TdNucaPolicy* rrt) {
         i, eq_, *caches_, page_table_, cfg_.core, cfg_.tlb, cfg_.vm));
     mmus.push_back(&cores_.back()->mmu());
   }
-  // Every policy gets the cache operations directly, whether the hierarchy
-  // consults it, an AppRouter does, or nothing does yet (a dry run's
-  // TD-NUCA, an adaptive slot's alternate).
+  // Every policy gets the cache operations, whether a core maps through it
+  // or none does yet (a dry run's TD-NUCA, an adaptive slot's alternate).
   for (const auto& set : policies_) {
     set->for_each([this](nuca::MappingPolicy& p) { p.set_ops(caches_.get()); });
     if (set->rnuca) set->rnuca->set_mmus(mmus);
@@ -220,8 +221,8 @@ Program Machine::make_program(PolicySet& set, const CoreMask& cores,
     else if (cfg_.policy == PolicyKind::TdNucaDryRun)
       variant = tdnuca::Variant::DryRun;
     auto hooks = std::make_unique<tdnuca::TdNucaRuntimeHooks>(
-        *td, page_table_, cfg_.num_cores(), variant,
-        cfg_.hierarchy.l1.line_size, set.hooks, cfg_.hooks, rec_);
+        *td, page_table_, variant, cfg_.hierarchy.l1.line_size, set.hooks,
+        cfg_.hooks, rec_);
     hooks->set_health(health());
     p.hooks_td = hooks.get();
     p.hooks = std::move(hooks);

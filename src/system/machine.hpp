@@ -6,13 +6,15 @@
 // and serve::ServeSystem a stream of requests on worker slots. Each
 // front-end keeps only its programs and its driving loop (DESIGN.md Sec. 3).
 //
-// The hierarchy consults one policy object, and the front-end picks it: the
-// program's own policy for one program, a multi::AppRouter over several. So
-// a front-end assembles the machine in stages:
+// Each core maps through the policy of the partition that owns it: the
+// hierarchy starts every core on the first policy set's active policy, and
+// a front-end with several programs gives each partition its own through
+// the hierarchy's app view. So a front-end assembles the machine in stages:
 //
 //   Machine m(cfg, rec);               // queue, mesh, page table, NoC, MCs
 //   PolicySet& p = m.add_policies();   // once per program or worker slot
-//   m.build(*p.active, p.tdnuca.get());  // caches, cores, faults, obs
+//   m.build(p.tdnuca.get());           // caches, cores, faults, obs
+//   m.caches().set_app_view(parts, {p.active, ...});  // several programs
 //   Program prog = m.make_program(p, cores, 0);
 //
 // Counters: the machine lists every counter it owns by its metric key, and
@@ -104,16 +106,17 @@ class Machine {
   /// machine. @p alternate_rnuca adds an R-NUCA instance beside TD-NUCA's
   /// (serving's adaptive switching).
   PolicySet& add_policies(bool alternate_rnuca = false);
-  /// Build the coherent hierarchy over @p top and every core with its MMU.
-  /// Every policy added so far gets the hierarchy's cache operations (an
-  /// AppRouter does not forward them) and every R-NUCA instance the MMUs
-  /// it shoots down. With a non-empty cfg.fault.plan, build the fault
-  /// injector and the health view every layer and policy shares; with a
-  /// recorder, register the machine's tracks, attribution sinks, epoch
-  /// series and heatmaps. @p rrt is the TD-NUCA policy whose RRTs the
-  /// plan's soft errors hit. A machine with TD-NUCA RRTs but no @p rrt
-  /// rejects rrt_flip and rrt_evict, which would otherwise hit nothing.
-  void build(nuca::MappingPolicy& top, nuca::TdNucaPolicy* rrt);
+  /// Build the coherent hierarchy and every core with its MMU. Every core
+  /// starts on the first policy set's active policy (a policy set must
+  /// exist). Every policy added so far gets the hierarchy's cache
+  /// operations and every R-NUCA instance the MMUs it shoots down. With a
+  /// non-empty cfg.fault.plan, build the fault injector and the health view
+  /// every layer and policy shares; with a recorder, register the machine's
+  /// tracks, attribution sinks, epoch series and heatmaps. @p rrt is the
+  /// TD-NUCA policy whose RRTs the plan's soft errors hit. A machine with
+  /// TD-NUCA RRTs but no @p rrt rejects rrt_flip and rrt_evict, which would
+  /// otherwise hit nothing.
+  void build(nuca::TdNucaPolicy* rrt);
   /// The program factory: a scheduler per cfg.scheduler, a runtime over
   /// @p cores and runtime hooks. The hooks are TD-NUCA's, driving @p set's
   /// TD-NUCA policy and counting into set.hooks, unless the set has none or

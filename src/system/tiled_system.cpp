@@ -24,37 +24,29 @@ TiledSystem::TiledSystem(SystemConfig cfg, multi::MixSpec mix,
               "not supported in multiprogram mode");
 
   // Row-granular split (multi::row_partitions): app a owns mesh rows
-  // [a*rpa, (a+1)*rpa). One app owns them all and maps over the whole LLC.
+  // [a*rpa, (a+1)*rpa). One app owns them all and maps over the whole LLC,
+  // as does every app in Shared mode.
   const std::vector<CoreMask> part =
       multi::row_partitions(cfg.mesh_w, cfg.mesh_h, num_apps);
   const bool confined =
       num_apps > 1 && opts_.mode == multi::PartitionMode::Partitioned;
   apps_.reserve(num_apps);
+  std::vector<nuca::MappingPolicy*> app_policies;
   for (unsigned a = 0; a < num_apps; ++a) {
     App& app = *apps_.emplace_back(
         std::make_unique<App>(a * multi::kAppStride + mem::kHeapBase));
     app.workload_name = mix.apps[a];
     app.cores = part[a];
     app.policies = &machine_.add_policies();
-    if (confined) {
-      app.banks = part[a];
-      app.policies->active->set_partition(app.banks, app.cores);
-    }
+    if (confined) app.policies->active->set_partition(part[a], part[a]);
+    app_policies.push_back(app.policies->active);
   }
 
-  if (colocated()) {
-    // No RRT target: each app owns its own RRT set, and the policies'
-    // in-map health guards already mask dead banks out of stale entries.
-    std::vector<nuca::MappingPolicy*> app_policies;
-    for (const auto& app : apps_) app_policies.push_back(app->policies->active);
-    router_ = std::make_unique<multi::AppRouter>(std::move(app_policies));
-    machine_.build(*router_, nullptr);
-    machine_.caches().set_app_view(part);
-  } else {
-    // One program: the hierarchy consults its policy directly.
-    const PolicySet& p = *apps_[0]->policies;
-    machine_.build(*p.active, p.tdnuca.get());
-  }
+  // One program's TD-NUCA policy is the fault injector's RRT target. In a
+  // mix each app owns its own RRT set, so there is none, and the policies'
+  // in-map health guards already mask dead banks out of stale entries.
+  machine_.build(colocated() ? nullptr : apps_[0]->policies->tdnuca.get());
+  if (colocated()) machine_.caches().set_app_view(part, app_policies);
 
   // Stream a: co-scheduled runtimes must not mirror each other's dispatch
   // noise (and a shared stream would make results depend on app completion
@@ -225,8 +217,7 @@ stats::Registry TiledSystem::collect_stats() const {
     r.set(p + ".tasks.completed",
           static_cast<double>(app.program.rt->tasks_completed()));
     r.set(p + ".cores", static_cast<double>(app.cores.count()));
-    r.set(p + ".banks", static_cast<double>(
-                            app.banks.empty() ? n : app.banks.count()));
+    r.set(p + ".banks", static_cast<double>(app_banks(a).count()));
     const std::uint64_t resident = caches.app_resident_lines(a);
     r.set(p + ".llc.resident_lines", static_cast<double>(resident));
     r.set(p + ".llc.occupancy", static_cast<double>(resident) / llc_cap);

@@ -6,17 +6,17 @@
 //
 // The number of programs picks the path:
 //
-//  * One program (the paper's setting, from either constructor): the
-//    hierarchy consults the program's policy directly, the program runs on
-//    every core, and its TD-NUCA policy is the fault injector's RRT target.
+//  * One program (the paper's setting, from either constructor): every
+//    core maps through the program's policy, the program runs on every
+//    core, and its TD-NUCA policy is the fault injector's RRT target.
 //  * N colocated programs (a multi::MixSpec of two or more apps; DESIGN.md
 //    Sec. 3, docs/multiprog.md): each app gets a row partition of the cores
 //    (and, in Partitioned mode, of the LLC banks), an offset virtual address
 //    space (mix.hpp's kAppStride keeps streams alias-free), its own policy
-//    set and program. A multi::AppRouter presents the per-app policies to
-//    the hierarchy as one, and the CoherentSystem's app view provides
-//    per-app LLC counters and inter-app bank-conflict accounting. Each app
-//    owns its own RRT set, so the fault injector targets none of them.
+//    set and program. The CoherentSystem's app view maps each app's cores
+//    through the app's policy and provides per-app LLC counters and
+//    inter-app bank-conflict accounting. Each app owns its own RRT set, so
+//    the fault injector targets none of them.
 //
 // Determinism: one single-threaded event loop drives every program, and
 // per-app PRNG seeds derive from the app index alone, so runs are
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "mem/address_space.hpp"
-#include "multi/app_router.hpp"
 #include "multi/mix.hpp"
 #include "system/machine.hpp"
 #include "workloads/workload.hpp"
@@ -80,8 +79,11 @@ class TiledSystem {
   }
   mem::VirtualSpace& app_vspace(unsigned a) { return apps_.at(a)->vspace; }
   const CoreMask& app_cores(unsigned a) const { return apps_.at(a)->cores; }
-  /// Empty when the app maps over the whole LLC (one app, or Shared mode).
-  const BankMask& app_banks(unsigned a) const { return apps_.at(a)->banks; }
+  /// The banks the app's policy maps to: every bank for one app or in
+  /// Shared mode.
+  const BankMask& app_banks(unsigned a) const {
+    return apps_.at(a)->policies->active->bank_partition();
+  }
   /// Valid after build().
   const workloads::WorkloadStats& app_workload_stats(unsigned a) const;
 
@@ -131,7 +133,6 @@ class TiledSystem {
     std::string workload_name;
     mem::VirtualSpace vspace;
     CoreMask cores;
-    BankMask banks;
     PolicySet* policies = nullptr;  ///< owned by the machine
     Program program;
     std::unique_ptr<workloads::Workload> workload;
@@ -143,9 +144,6 @@ class TiledSystem {
   void register_observability();
 
   multi::MultiOptions opts_;
-  // Declared before machine_, so the router outlives the hierarchy that
-  // refers to it.
-  std::unique_ptr<multi::AppRouter> router_;
   Machine machine_;
   std::vector<std::unique_ptr<App>> apps_;
   bool built_ = false;  ///< task graphs exist (or are the caller's to build)

@@ -21,8 +21,9 @@ class ClusterMap {
     TDN_REQUIRE(mesh.width() % cluster_w == 0 && mesh.height() % cluster_h == 0,
                 "clusters must tile the mesh exactly");
     const unsigned n = num_clusters();
-    banks_.resize(n);
-    for (unsigned c = 0; c < n; ++c) banks_[c] = mesh.cluster_tiles(c, cw_, ch_);
+    masks_.resize(n);
+    for (unsigned c = 0; c < n; ++c)
+      for (CoreId b : mesh.cluster_tiles(c, cw_, ch_)) masks_[c].set(b);
   }
 
   unsigned num_clusters() const {
@@ -34,21 +35,11 @@ class ClusterMap {
     return mesh_->cluster_of(tile, cw_, ch_);
   }
 
-  BankMask mask_of(unsigned cluster) const {
-    BankMask m;
-    for (CoreId b : banks_.at(cluster)) m.set(b);
-    return m;
-  }
+  BankMask mask_of(unsigned cluster) const { return masks_.at(cluster); }
 
-  /// Bank serving @p line_addr inside @p cluster (address-interleaved).
-  BankId bank_for(unsigned cluster, Addr line_addr,
-                  unsigned line_size = 64) const {
-    const auto& banks = banks_.at(cluster);
-    return banks[(line_addr / line_size) % banks.size()];
-  }
-
-  /// Same interleave, but given a BankMask (as the hardware does: the RRT
-  /// entry carries only the mask).
+  /// Bank serving @p line_addr among the banks of @p mask, interleaved by
+  /// the low block-address bits (the hardware sees only the RRT entry's
+  /// mask).
   static BankId bank_for_mask(BankMask mask, Addr line_addr,
                               unsigned line_size = 64) {
     const int n = mask.count();
@@ -60,7 +51,7 @@ class ClusterMap {
   const noc::Mesh* mesh_;
   unsigned cw_;
   unsigned ch_;
-  std::vector<std::vector<CoreId>> banks_;
+  std::vector<BankMask> masks_;
 };
 
 }  // namespace tdn::tdnuca

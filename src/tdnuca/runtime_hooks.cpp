@@ -55,12 +55,12 @@ struct TdNucaRuntimeHooks::IsaTimeline {
 };
 
 TdNucaRuntimeHooks::TdNucaRuntimeHooks(nuca::TdNucaPolicy& policy,
-                                       mem::PageTable& pt, unsigned num_tiles,
-                                       Variant variant, unsigned line_size,
+                                       mem::PageTable& pt, Variant variant,
+                                       unsigned line_size,
                                        HookCounters& counters,
                                        HooksConfig cfg, obs::Recorder* rec)
-    : policy_(policy), pt_(pt), num_tiles_(num_tiles), variant_(variant),
-      line_size_(line_size), cfg_(cfg), rec_(rec), counts_(counters) {}
+    : policy_(policy), pt_(pt), variant_(variant), line_size_(line_size),
+      cfg_(cfg), rec_(rec), counts_(counters) {}
 
 void TdNucaRuntimeHooks::on_task_created(const runtime::Task& task) {
   TDN_REQUIRE(rts_ != nullptr, "set_runtime() must be called first");
@@ -265,9 +265,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
                   tl.dep_args(a.dep, tr));
         // Replicas and RRT entries can only exist on this policy's cores
         // (the whole machine unless partitioned for colocation).
-        const CoreMask all_cores = policy_.core_partition().empty()
-                                       ? CoreMask::first_n(num_tiles_)
-                                       : policy_.core_partition();
+        const CoreMask all_cores = policy_.core_partition();
         for (const AddrRange& piece : tr.pieces) {
           all_cores.for_each(
               [&](CoreId c) { policy_.rrt(c).invalidate_range(piece); });

@@ -77,7 +77,7 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   /// back-to-back over the cycles the core is charged; it observes only and
   /// never alters timing. Every count goes to @p counters.
   TdNucaRuntimeHooks(nuca::TdNucaPolicy& policy, mem::PageTable& pt,
-                     unsigned num_tiles, Variant variant, unsigned line_size,
+                     Variant variant, unsigned line_size,
                      HookCounters& counters, HooksConfig cfg = {},
                      obs::Recorder* rec = nullptr);
 
@@ -170,7 +170,6 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
 
   nuca::TdNucaPolicy& policy_;
   mem::PageTable& pt_;
-  unsigned num_tiles_;
   Variant variant_;
   unsigned line_size_;
   HooksConfig cfg_;

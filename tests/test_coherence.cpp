@@ -46,14 +46,16 @@ class AlwaysBypass final : public nuca::MappingPolicy {
   }
 };
 
-/// S-NUCA placement that counts the demand-access hook's calls.
+/// S-NUCA placement that counts its map() and demand-hook calls.
 class CountingSNuca final : public nuca::MappingPolicy {
  public:
   const char* name() const override { return "counting-S-NUCA"; }
   nuca::MapDecision map(CoreId, Addr, Addr paddr, AccessKind) override {
+    ++maps;
     return nuca::MapDecision::to_bank(nuca::snuca_bank(paddr, 4));
   }
   void on_access(CoreId, Addr, AccessKind) override { ++hooks; }
+  unsigned maps = 0;
   unsigned hooks = 0;
 };
 
@@ -166,6 +168,43 @@ TEST(Coherence, DemandHookRunsOncePerAccess) {
   EXPECT_EQ(policy.hooks, 2u);
   EXPECT_EQ(sys.stats().l1_misses.value(), 2u);
   EXPECT_EQ(sys.stats().l1_hits.value(), 2u);
+}
+
+// Each core maps through its partition's policy: with an app view, core
+// 0's misses and demand hooks reach only partition 0's policy and core 3's
+// only partition 1's, and set_app_policy swaps partition 1's policy for
+// its cores' next miss.
+TEST(Coherence, AppViewMapsEachCoreThroughItsPartitionsPolicy) {
+  Rig rig;
+  CountingSNuca a, b, c;
+  rig.sys->set_app_view({CoreMask::first_n(2), CoreMask(0b1100)}, {&a, &b});
+  rig.access(0, 0x1000, AccessKind::Read);  // miss
+  rig.access(0, 0x1000, AccessKind::Read);  // hit: the hook only
+  EXPECT_EQ(a.maps, 1u);
+  EXPECT_EQ(a.hooks, 2u);
+  EXPECT_EQ(b.maps + b.hooks, 0u);
+  rig.access(3, 0x2000, AccessKind::Write);
+  EXPECT_EQ(b.maps, 1u);
+  EXPECT_EQ(b.hooks, 1u);
+  EXPECT_EQ(a.maps, 1u);
+  EXPECT_EQ(a.hooks, 2u);
+
+  rig.sys->set_app_policy(1, c);
+  rig.access(3, 0x3000, AccessKind::Read);
+  EXPECT_EQ(c.maps, 1u);
+  EXPECT_EQ(c.hooks, 1u);
+  EXPECT_EQ(b.maps, 1u);
+  EXPECT_EQ(b.hooks, 1u);
+  EXPECT_EQ(a.maps + a.hooks, 3u);
+}
+
+TEST(Coherence, AppViewNeedsOnePolicyPerPartition) {
+  Rig rig;
+  CountingSNuca a;
+  EXPECT_THROW(
+      rig.sys->set_app_view({CoreMask::first_n(2), CoreMask(0b1100)}, {&a}),
+      RequireError);
+  EXPECT_THROW(rig.sys->set_app_policy(0, a), RequireError);  // no view
 }
 
 TEST(Coherence, FlushL1WritesBackDirtyLines) {

@@ -6,6 +6,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <vector>
 
 #include "harness/figures.hpp"
 #include "harness/paper_ref.hpp"
@@ -58,6 +61,47 @@ TEST(ResultsCache, DisabledByEnv) {
   ResultsCache::store("k", {{"a", 1.0}});
   EXPECT_FALSE(ResultsCache::load("k").has_value());
   ::unsetenv("TDN_NO_CACHE");
+}
+
+// A torn line in a stored entry makes it a miss: the next run re-simulates
+// with the full key set and overwrites the entry, and the run after that
+// is a full hit again.
+TEST(ResultsCache, TornEntryIsResimulatedAndRewritten) {
+  CacheDirGuard guard;
+  RunConfig cfg;
+  cfg.workload = "md5";
+  cfg.policy = system::PolicyKind::SNuca;
+  cfg.params.scale = 0.1;
+  const RunResult first = run_experiment(cfg, /*use_cache=*/true);
+  ASSERT_FALSE(first.from_cache);
+  ASSERT_TRUE(first.has("llc.accesses"));
+
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(guard.dir))
+    entries.push_back(e.path());
+  ASSERT_EQ(entries.size(), 1u);
+  std::string text;
+  {
+    std::ifstream in(entries[0]);
+    std::ostringstream os;
+    os << in.rdbuf();
+    text = os.str();
+  }
+  const auto at = text.find("\nllc.accesses,");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(text.find('\n', at + 1), "garbage");  // a torn value
+  {
+    std::ofstream out(entries[0], std::ios::trunc);
+    out << text;
+  }
+
+  const RunResult second = run_experiment(cfg, /*use_cache=*/true);
+  EXPECT_FALSE(second.from_cache);
+  EXPECT_EQ(second.metrics, first.metrics);
+  const RunResult third = run_experiment(cfg, /*use_cache=*/true);
+  EXPECT_TRUE(third.from_cache);
+  EXPECT_EQ(third.metrics, first.metrics);
+  EXPECT_NO_THROW(third.get("llc.accesses"));
 }
 
 TEST(Runner, ExperimentProducesMetrics) {

@@ -55,12 +55,6 @@ TEST(MixSpec, RejectsUnknownNamesListingValidOnes) {
   EXPECT_THROW(MixSpec::parse("gauss++histo"), RequireError);
 }
 
-TEST(MixSpec, AppOfVaddrInvertsTheStride) {
-  EXPECT_EQ(app_of_vaddr(mem::kHeapBase), 0u);
-  EXPECT_EQ(app_of_vaddr(kAppStride + mem::kHeapBase), 1u);
-  EXPECT_EQ(app_of_vaddr(3 * kAppStride + 12345), 3u);
-}
-
 TEST(MultiProgram, AddressSpacesAreDisjoint) {
   system::SystemConfig cfg;
   cfg.policy = system::PolicyKind::TdNuca;
@@ -77,7 +71,6 @@ TEST(MultiProgram, AddressSpacesAreDisjoint) {
     for (const auto& r : sys.app_vspace(a).regions()) {
       EXPECT_GE(r.range.begin, base) << "app " << a << " " << r.name;
       EXPECT_LT(r.range.end, base + kAppStride) << "app " << a << " " << r.name;
-      EXPECT_EQ(app_of_vaddr(r.range.begin), a) << r.name;
     }
   }
 }
@@ -134,9 +127,9 @@ TEST(MultiProgram, SharedModeSpansTheWholeLlc) {
   sys.build(small_params());
   sys.run();
   ASSERT_TRUE(sys.completed());
-  // In Shared mode the bank masks are empty (= whole LLC) and the stats
-  // report all 16 banks per app.
-  EXPECT_TRUE(sys.app_banks(0).empty());
+  // In Shared mode every app's policy maps over the whole LLC, and the
+  // stats report all 16 banks per app.
+  EXPECT_EQ(sys.app_banks(0), BankMask::first_n(16));
   const auto reg = sys.collect_stats();
   EXPECT_EQ(reg.get("app0.banks"), 16.0);
   EXPECT_EQ(reg.get("multi.partitioned"), 0.0);

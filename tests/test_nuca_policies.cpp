@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mem/page_table.hpp"
 #include "noc/mesh.hpp"
@@ -74,6 +75,34 @@ TEST(TdNucaPolicy, LatencyConfigurable) {
   cfg.rrt_latency = 3;
   TdNucaPolicy p(mesh, 16, cfg);
   EXPECT_EQ(p.map(0, 0, 0, AccessKind::Read).lookup_latency, 3u);
+}
+
+// S-, R- and TD-NUCA start out owning the whole machine; colocation and
+// serving narrow the partition, which can never lose its last bank.
+TEST(Partition, PoliciesStartWithTheWholeMachine) {
+  noc::Mesh mesh(4, 4);
+  mem::PageTable pt;
+  SNucaPolicy s(16);
+  RNucaPolicy r(mesh, 16, pt);
+  TdNucaPolicy t(mesh, 16, {});
+  const std::vector<const MappingPolicy*> policies{&s, &r, &t};
+  for (const MappingPolicy* p : policies) {
+    EXPECT_EQ(p->bank_partition(), BankMask::first_n(16)) << p->name();
+    EXPECT_EQ(p->core_partition(), CoreMask::first_n(16)) << p->name();
+  }
+}
+
+TEST(Partition, EmptyBankMaskIsRejected) {
+  SNucaPolicy p(16);
+  EXPECT_THROW(p.set_partition(BankMask::none(), CoreMask::none()),
+               RequireError);
+  EXPECT_EQ(p.bank_partition(), BankMask::first_n(16));
+  // A narrowed partition interleaves over its own banks only.
+  p.set_partition(BankMask(0x00f0), CoreMask(0x00f0));
+  std::set<BankId> used;
+  for (Addr a = 0; a < 64 * 64; a += 64)
+    used.insert(p.map(0, a, a, AccessKind::Read).bank);
+  EXPECT_EQ(used, (std::set<BankId>{4, 5, 6, 7}));
 }
 
 namespace {

@@ -210,7 +210,9 @@ TEST(ResultsCacheConcurrency, ContendingStoreLoadNeverSeesTornFiles) {
   }
 }
 
-TEST(ResultsCacheConcurrency, MalformedLinesAreSkippedNotTrusted) {
+// An entry with a malformed line is a miss, never a partial hit: the run
+// re-simulates instead of lacking the torn metric forever.
+TEST(ResultsCacheConcurrency, MalformedLineMakesTheEntryAMiss) {
   CacheDirGuard guard;
   std::filesystem::create_directories(guard.dir);
   {
@@ -221,7 +223,21 @@ TEST(ResultsCacheConcurrency, MalformedLinesAreSkippedNotTrusted) {
         << ",0.5\n"
         << "another.good,42\n";
   }
-  const auto loaded = ResultsCache::load("mixed");
+  EXPECT_FALSE(ResultsCache::load("mixed").has_value());
+  // Each kind of malformed line alone is enough.
+  for (const char* bad : {"no comma in this line", "torn.value,1.7e3garbage",
+                          ",0.5", "empty.value,"}) {
+    {
+      std::ofstream out(std::filesystem::path(guard.dir) / "one_bad.csv");
+      out << "good.metric,2.5\n" << bad << "\nanother.good,42\n";
+    }
+    EXPECT_FALSE(ResultsCache::load("one_bad").has_value()) << bad;
+  }
+  {
+    std::ofstream out(std::filesystem::path(guard.dir) / "all_good.csv");
+    out << "good.metric,2.5\nanother.good,42\n";
+  }
+  const auto loaded = ResultsCache::load("all_good");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->size(), 2u);
   EXPECT_DOUBLE_EQ(loaded->at("good.metric"), 2.5);

@@ -78,7 +78,7 @@ TEST(ClusterMap, InterleaveCoversClusterBanks) {
   ClusterMap cm(mesh);
   std::set<BankId> used;
   for (Addr line = 0; line < 64 * 16; line += 64)
-    used.insert(cm.bank_for(0, line));
+    used.insert(ClusterMap::bank_for_mask(cm.mask_of(0), line));
   EXPECT_EQ(used.size(), 4u);
   for (BankId b : used) EXPECT_EQ(cm.cluster_of(b), 0u);
 }
